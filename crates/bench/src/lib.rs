@@ -1,7 +1,7 @@
 //! Shared fixtures for the benchmark suite.
 //!
-//! Each `benches/e*.rs` file regenerates one experiment from
-//! EXPERIMENTS.md; this library centralizes the setup they share so
+//! Each `benches/e*.rs` file regenerates one experiment; this library
+//! centralizes the setup they share so
 //! per-iteration work measures exactly the operation under test.
 
 use p2drm_core::entities::user::UserAgent;

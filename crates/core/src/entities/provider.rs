@@ -59,8 +59,10 @@ use crate::license::{License, LicenseBody};
 use crate::protocol::messages::{self, LicenseStatus, PurchaseRequest, TransferRequest};
 use crate::CoreError;
 use p2drm_crypto::envelope;
+use p2drm_crypto::hmac::HmacSha256;
 use p2drm_crypto::rng::CryptoRng;
 use p2drm_crypto::rsa::RsaPublicKey;
+use p2drm_crypto::sha256::sha256_concat;
 use p2drm_payment::Mint;
 use p2drm_pki::authority::CertificateAuthority;
 use p2drm_pki::cert::{digest_id, Certificate, KeyId, PseudonymCertificate};
@@ -161,6 +163,12 @@ pub struct TransferRecord {
 /// anchors and configuration. Shared lock-free across threads.
 pub struct ProviderCore {
     keys: p2drm_crypto::rsa::RsaKeyPair,
+    /// HMAC key deriving license ids from what a request spends (coin
+    /// serial, old license id), so a resent request maps to the license
+    /// its first attempt issued. Derived from the signing key: stable
+    /// across restarts, unpredictable to everyone else, the mint
+    /// included. **Secret bytes.**
+    license_id_key: [u8; 32],
     cert: Certificate,
     root_key: RsaPublicKey,
     ra_blind_key: RsaPublicKey,
@@ -209,7 +217,9 @@ impl CrlState {
 pub struct ProviderState<B: ConcurrentKv> {
     store: B,
     licenses: Table<License>,
-    spent: Table<u32>,
+    /// Spent license ids: the digest of the transfer that retired the id
+    /// ([`transfer_digest`]), or empty for a direct revocation.
+    spent: Table<Vec<u8>>,
     content_table: Table<crate::content::PackagedContent>,
     rights_table: Table<Rights>,
     crl_table: Table<u64>,
@@ -449,6 +459,11 @@ impl<B: ConcurrentKv> ContentProvider<B> {
                         std::time::Duration::from_micros(config.valve_deadline_us),
                     )),
                 },
+                license_id_key: p2drm_crypto::kdf::derive_key32(
+                    b"p2drm-license-id",
+                    &keys.private_exponent().to_bytes_be(),
+                    b"v1",
+                ),
                 keys,
                 cert,
                 root_key,
@@ -551,24 +566,38 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         p2drm_codec::to_bytes(&self.core.keys)
     }
 
-    /// Persists one revocation into the CRL table. Caller holds the CRL
-    /// write lock and has already bumped the relevant sequence counter.
-    fn persist_crl_entry(&self, crl: &mut CrlState, kind: u8, id: &KeyId) -> Result<(), CoreError> {
-        let seq = match kind {
-            b'l' => crl.license_crl_seq,
-            _ => crl.pseudonym_crl_seq,
+    /// Adds `id` to the license (`b'l'`) or pseudonym (`b'p'`) CRL at the
+    /// next sequence number. The entry is persisted before the in-memory
+    /// lists change, so a failed write leaves no trace and a retry adds
+    /// it; an id already listed is left as it is.
+    fn revoke_in_crl(&self, kind: u8, id: KeyId) -> Result<(), CoreError> {
+        let mut crl = self.state.crl.write();
+        let crl = &mut *crl;
+        let (list, seq, events) = match kind {
+            b'l' => (
+                &mut crl.license_crl,
+                &mut crl.license_crl_seq,
+                &mut crl.license_crl_events,
+            ),
+            _ => (
+                &mut crl.pseudonym_crl,
+                &mut crl.pseudonym_crl_seq,
+                &mut crl.pseudonym_crl_events,
+            ),
         };
+        if list.contains(&id) {
+            return Ok(());
+        }
         let mut key = Vec::with_capacity(34);
         key.push(kind);
         key.push(b'/');
         key.extend_from_slice(&id.0);
         self.state
             .crl_table
-            .put_shared(&self.state.store, &key, &seq)?;
-        match kind {
-            b'l' => crl.license_crl_events.push((seq, *id)),
-            _ => crl.pseudonym_crl_events.push((seq, *id)),
-        }
+            .put_shared(&self.state.store, &key, &(*seq + 1))?;
+        *seq += 1;
+        list.insert(id);
+        events.push((*seq, id));
         Ok(())
     }
 
@@ -844,12 +873,61 @@ impl<B: ConcurrentKv> ContentProvider<B> {
 
     /// Anonymous purchase: verify pseudonym + coin, deposit, issue license.
     /// Callable from many threads at once through `&self`.
+    ///
+    /// Idempotent: the coin is deposited bound to [`purchase_digest`] and
+    /// the license id is derived from the coin serial, so resending a
+    /// request returns the license its first attempt stored — or, when
+    /// that attempt failed after the deposit, issues it under the same
+    /// id — without a second deposit. The same coin with any other
+    /// content or pseudonym is a double spend.
     pub fn handle_purchase<R: CryptoRng + ?Sized>(
         &self,
         req: &PurchaseRequest,
         now_epoch: u32,
         rng: &mut R,
     ) -> Result<License, CoreError> {
+        // lint: secret(digest)
+        let buyer = req.pseudonym_cert.pseudonym_id();
+        let digest = purchase_digest(&req.coin.serial, &req.content_id, &buyer);
+        // A replay is recognized before any other check: a committed
+        // purchase is answered even if its pseudonym has since aged out.
+        if !self.state.mint.is_replay(&req.coin.serial, &digest) {
+            self.check_and_deposit(req, &digest, now_epoch)?;
+        }
+        // lint: secret(lid)
+        let lid = self.derived_license_id(b'p', &req.coin.serial);
+        if let Some(license) = self.state.licenses.get_shared(&self.state.store, &lid.0)? {
+            return Ok(license);
+        }
+        let content_key = self.content_key(&req.content_id)?;
+        let holder = &req.pseudonym_cert.body.pseudonym_key;
+        let body = LicenseBody {
+            license_id: lid,
+            content_id: req.content_id,
+            holder: holder.clone(),
+            rights: self.rights_for(&req.content_id),
+            key_envelope: envelope::seal(holder, &content_key, rng),
+            issued_epoch: now_epoch,
+        };
+        let (license, stored) = self.issue_once(body)?;
+        if stored {
+            self.state.purchase_log.lock().push(PurchaseRecord {
+                pseudonym: buyer,
+                content: req.content_id,
+                epoch: now_epoch,
+            });
+        }
+        Ok(license)
+    }
+
+    /// Every check of a fresh purchase, then the deposit bound to
+    /// `digest` (a concurrent identical request may already have made it).
+    fn check_and_deposit(
+        &self,
+        req: &PurchaseRequest,
+        digest: &[u8; 32],
+        now_epoch: u32,
+    ) -> Result<(), CoreError> {
         // Stage the pseudonym check first, then do the independent prep
         // work (catalog lookup, price + attribute checks, coin signature)
         // while a valve batch fills under other workers' requests. Only
@@ -859,17 +937,13 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         // takes precedence over, say, a bad coin, exactly as when the
         // checks ran sequentially.
         let gate = self.begin_verify_pseudonym(&req.pseudonym_cert, now_epoch)?;
-        let prep = (|| -> Result<(u64, Option<String>, [u8; 32]), CoreError> {
-            let (price, required, content_key) = {
+        let prep = (|| -> Result<(), CoreError> {
+            let (price, required) = {
                 let catalog = self.state.catalog.read();
                 let item = catalog
                     .get(&req.content_id)
                     .ok_or(CoreError::UnknownContent(req.content_id))?;
-                (
-                    item.meta.price,
-                    item.meta.required_attribute.clone(),
-                    item.key,
-                )
+                (item.meta.price, item.meta.required_attribute.clone())
             };
             if req.coin.denomination < price {
                 return Err(CoreError::Payment(
@@ -881,43 +955,62 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             }
             self.check_attribute_requirement(req, required.as_deref(), now_epoch)?;
             self.state.mint.check_coin(&req.coin)?;
-            Ok((price, required, content_key))
+            Ok(())
         })();
         self.finish_verify_pseudonym(gate)?;
-        let (_price, _required, content_key) = prep?;
+        prep?;
         // Deposit is the last fallible external step before issuance; a
         // double-spent coin is rejected here by the mint's spent store
         // (its signature was already checked in the prep block above).
-        {
-            let _stage = p2drm_obs::stage("mint_deposit");
-            self.state.mint.deposit_prechecked(&req.coin)?;
-        }
+        let _stage = p2drm_obs::stage("mint_deposit");
+        self.state.mint.deposit_prechecked_for(&req.coin, digest)?;
+        Ok(())
+    }
 
-        let rights = self
+    fn content_key(&self, content: &ContentId) -> Result<[u8; 32], CoreError> {
+        Ok(self
             .state
+            .catalog
+            .read()
+            .get(content)
+            .ok_or(CoreError::UnknownContent(*content))?
+            .key)
+    }
+
+    /// The rights template applied to every sale of `content`.
+    fn rights_for(&self, content: &ContentId) -> Rights {
+        self.state
             .rights_templates
             .read()
-            .get(&req.content_id)
+            .get(content)
             .cloned()
-            .unwrap_or_else(Rights::standard_purchase);
-        let body = LicenseBody {
-            license_id: LicenseId::random(rng),
-            content_id: req.content_id,
-            holder: req.pseudonym_cert.body.pseudonym_key.clone(),
-            rights,
-            key_envelope: envelope::seal(&req.pseudonym_cert.body.pseudonym_key, &content_key, rng),
-            issued_epoch: now_epoch,
-        };
+            .unwrap_or_else(Rights::standard_purchase)
+    }
+
+    /// Signs `body` and stores the license under its id unless one is
+    /// already stored there (one write either way). Returns the license
+    /// the store holds and whether this call stored it.
+    fn issue_once(&self, body: LicenseBody) -> Result<(License, bool), CoreError> {
         let license = License::issue(body, &self.core.keys);
-        self.state
-            .licenses
-            .put_shared(&self.state.store, license.id().as_bytes(), &license)?;
-        self.state.purchase_log.lock().push(PurchaseRecord {
-            pseudonym: req.pseudonym_cert.pseudonym_id(),
-            content: req.content_id,
-            epoch: now_epoch,
-        });
-        Ok(license)
+        let lid = license.id();
+        let table = &self.state.licenses;
+        if table.insert_if_absent_shared(&self.state.store, &lid.0, &license)? {
+            return Ok((license, true));
+        }
+        let stored = table.get_shared(&self.state.store, &lid.0)?;
+        Ok((stored.ok_or(CoreError::UnknownLicense(lid))?, false))
+    }
+
+    /// The license id a request spending `input` (a coin serial, or an
+    /// old license id) is answered with; `kind` separates the two.
+    fn derived_license_id(&self, kind: u8, input: &[u8]) -> LicenseId {
+        let mut mac = HmacSha256::new(&self.core.license_id_key);
+        mac.update(&[kind]);
+        mac.update(input);
+        let tag = mac.finalize();
+        let mut id = [0u8; 16];
+        id.copy_from_slice(&tag[..16]);
+        LicenseId(id)
     }
 
     /// Privacy-preserving transfer: revoke the old anonymous license,
@@ -926,16 +1019,81 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     ///
     /// Concurrency: of N racing transfers of the same license id, exactly
     /// one passes the atomic spent-ID `insert_if_absent`; the rest fail
-    /// with [`CoreError::AlreadyRedeemed`].
+    /// with [`CoreError::AlreadyRedeemed`] (identical requests excepted:
+    /// they are one transfer, answered alike).
+    ///
+    /// Idempotent: the spent-ID record holds [`transfer_digest`] and the
+    /// successor's id is derived from the old id, so resending a request
+    /// that committed returns the successor it stored — or issues it
+    /// under the same id when the first attempt failed after the claim.
     pub fn handle_transfer<R: CryptoRng + ?Sized>(
         &self,
         req: &TransferRequest,
         now_epoch: u32,
         rng: &mut R,
     ) -> Result<License, CoreError> {
-        req.license.verify(self.core.keys.public())?;
-        self.verify_pseudonym(&req.recipient_cert, now_epoch)?;
+        // lint: secret(lid, digest)
         let lid = req.license.id();
+        let digest = transfer_digest(&lid, &req.recipient_cert.pseudonym_id());
+        // A replay is recognized before any other check. The license
+        // signature is checked either way: the successor copies content
+        // and rights from it.
+        let replay = self.is_transfer_replay(&lid, &digest)?;
+        req.license.verify(self.core.keys.public())?;
+        if !replay {
+            self.check_and_claim(req, &lid, &digest, now_epoch)?;
+        }
+        self.revoke_in_crl(b'l', license_crl_id(&lid))?;
+
+        // lint: secret(successor)
+        let successor = self.derived_license_id(b't', lid.as_bytes());
+        if let Some(license) = self
+            .state
+            .licenses
+            .get_shared(&self.state.store, &successor.0)?
+        {
+            return Ok(license);
+        }
+        let old = &req.license.body;
+        let content_key = self.content_key(&old.content_id)?;
+        let recipient = &req.recipient_cert.body.pseudonym_key;
+        let body = LicenseBody {
+            license_id: successor,
+            content_id: old.content_id,
+            holder: recipient.clone(),
+            rights: decrement_transfer(&old.rights),
+            key_envelope: envelope::seal(recipient, &content_key, rng),
+            issued_epoch: now_epoch,
+        };
+        let (license, stored) = self.issue_once(body)?;
+        if stored {
+            self.state.transfer_log.lock().push(TransferRecord {
+                from_pseudonym: KeyId::of_rsa(&old.holder),
+                to_pseudonym: req.recipient_cert.pseudonym_id(),
+                content: old.content_id,
+            });
+        }
+        Ok(license)
+    }
+
+    fn is_transfer_replay(&self, lid: &LicenseId, digest: &[u8; 32]) -> Result<bool, CoreError> {
+        let spent = self
+            .state
+            .spent
+            .get_shared(&self.state.store, lid.as_bytes())?;
+        Ok(spent.as_deref() == Some(&digest[..]))
+    }
+
+    /// Every check of a fresh transfer, then the spent-ID claim of the
+    /// old id bound to `digest`.
+    fn check_and_claim(
+        &self,
+        req: &TransferRequest,
+        lid: &LicenseId,
+        digest: &[u8; 32],
+        now_epoch: u32,
+    ) -> Result<(), CoreError> {
+        self.verify_pseudonym(&req.recipient_cert, now_epoch)?;
         // Fast-path reject for ids already revoked (the authoritative
         // exactly-once decision is the spent-ID insert below).
         if self
@@ -943,9 +1101,9 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             .crl
             .read()
             .license_crl
-            .contains(&license_crl_id(&lid))
+            .contains(&license_crl_id(lid))
         {
-            return Err(CoreError::AlreadyRedeemed(lid));
+            return Err(CoreError::AlreadyRedeemed(*lid));
         }
         // Transfer must be granted by the license's own rights.
         match req.license.body.rights.transfer {
@@ -962,7 +1120,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             _ => {}
         }
         // Holder proof: current holder signed (lid ‖ recipient key id).
-        let proof_bytes = messages::transfer_proof_bytes(&lid, &req.recipient_cert.pseudonym_id());
+        let proof_bytes = messages::transfer_proof_bytes(lid, &req.recipient_cert.pseudonym_id());
         req.license
             .body
             .holder
@@ -972,54 +1130,24 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         // The unique-ID rule: exactly one transfer of this lid ever
         // succeeds, atomically, even across restarts (WalKv-backed store)
         // and across threads (check-and-set under the shard write lock).
+        // An identical request may have claimed it concurrently.
         let fresh = self.state.spent.insert_if_absent_shared(
             &self.state.store,
             lid.as_bytes(),
-            &now_epoch,
+            &digest.to_vec(),
         )?;
-        if !fresh {
-            return Err(CoreError::AlreadyRedeemed(lid));
+        if !fresh && !self.is_transfer_replay(lid, digest)? {
+            return Err(CoreError::AlreadyRedeemed(*lid));
         }
-        {
-            let mut crl = self.state.crl.write();
-            crl.license_crl.insert(license_crl_id(&lid));
-            crl.license_crl_seq += 1;
-            self.persist_crl_entry(&mut crl, b'l', &license_crl_id(&lid))?;
-        }
-
-        let content_key = {
-            let catalog = self.state.catalog.read();
-            catalog
-                .get(&req.license.body.content_id)
-                .ok_or(CoreError::UnknownContent(req.license.body.content_id))?
-                .key
-        };
-        let new_rights = decrement_transfer(&req.license.body.rights);
-        let body = LicenseBody {
-            license_id: LicenseId::random(rng),
-            content_id: req.license.body.content_id,
-            holder: req.recipient_cert.body.pseudonym_key.clone(),
-            rights: new_rights,
-            key_envelope: envelope::seal(&req.recipient_cert.body.pseudonym_key, &content_key, rng),
-            issued_epoch: now_epoch,
-        };
-        let license = License::issue(body, &self.core.keys);
-        self.state
-            .licenses
-            .put_shared(&self.state.store, license.id().as_bytes(), &license)?;
-        self.state.transfer_log.lock().push(TransferRecord {
-            from_pseudonym: KeyId::of_rsa(&req.license.body.holder),
-            to_pseudonym: req.recipient_cert.pseudonym_id(),
-            content: req.license.body.content_id,
-        });
-        Ok(license)
+        Ok(())
     }
 
     /// Domain purchase (authorized-domain extension, `p2drm-domain`):
     /// sells a license bound to a **domain manager key**. The provider
     /// verifies the manager is a certified domain manager and takes an
     /// anonymous coin; it learns "domain D bought X" but never which
-    /// devices or people compose the domain.
+    /// devices or people compose the domain. Idempotent like
+    /// [`Self::handle_purchase`], with the manager key as the holder.
     #[allow(clippy::too_many_arguments)]
     pub fn handle_domain_purchase<R: CryptoRng + ?Sized>(
         &self,
@@ -1036,6 +1164,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             return Err(CoreError::BadLicense("not a certified domain manager"));
         }
         let manager_key = manager_cert.body.subject_key.as_rsa()?.clone();
+        let manager = KeyId::of_rsa(&manager_key);
         let (price, content_key) = {
             let catalog = self.state.catalog.read();
             let item = catalog
@@ -1051,33 +1180,31 @@ impl<B: ConcurrentKv> ContentProvider<B> {
                 },
             ));
         }
-        self.state.mint.deposit(coin)?;
-
-        let mut rights = self
-            .state
-            .rights_templates
-            .read()
-            .get(&content_id)
-            .cloned()
-            .unwrap_or_else(Rights::standard_purchase);
+        // lint: secret(digest, lid)
+        let digest = purchase_digest(&coin.serial, &content_id, &manager);
+        self.state.mint.deposit(coin, &digest)?;
+        let lid = self.derived_license_id(b'p', &coin.serial);
+        if let Some(license) = self.state.licenses.get_shared(&self.state.store, &lid.0)? {
+            return Ok(license);
+        }
+        let mut rights = self.rights_for(&content_id);
         rights.domain = Some(domain_name.to_string());
         let body = LicenseBody {
-            license_id: LicenseId::random(rng),
+            license_id: lid,
             content_id,
             holder: manager_key.clone(),
             rights,
             key_envelope: envelope::seal(&manager_key, &content_key, rng),
             issued_epoch: now_epoch,
         };
-        let license = License::issue(body, &self.core.keys);
-        self.state
-            .licenses
-            .put_shared(&self.state.store, license.id().as_bytes(), &license)?;
-        self.state.purchase_log.lock().push(PurchaseRecord {
-            pseudonym: KeyId::of_rsa(&manager_key),
-            content: content_id,
-            epoch: now_epoch,
-        });
+        let (license, stored) = self.issue_once(body)?;
+        if stored {
+            self.state.purchase_log.lock().push(PurchaseRecord {
+                pseudonym: manager,
+                content: content_id,
+                epoch: now_epoch,
+            });
+        }
         Ok(license)
     }
 
@@ -1093,10 +1220,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
 
     /// Revokes a pseudonym (after TTP de-anonymization).
     pub fn revoke_pseudonym(&self, id: KeyId) -> Result<(), CoreError> {
-        let mut crl = self.state.crl.write();
-        crl.pseudonym_crl.insert(id);
-        crl.pseudonym_crl_seq += 1;
-        self.persist_crl_entry(&mut crl, b'p', &id)
+        self.revoke_in_crl(b'p', id)
     }
 
     /// Revokes a license id directly (e.g. refund, abuse).
@@ -1108,35 +1232,30 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         // license, same as the sequential order transfer-then-revoke) or
         // loses with `AlreadyRedeemed`. Without this, a transfer could
         // pass the CRL fast-path read just before the revocation commits
-        // and re-issue revoked content. `u32::MAX` marks "revoked, not
-        // transferred" (transfers store the transfer epoch).
+        // and re-issue revoked content. An empty record marks "revoked,
+        // not transferred" (transfers store their digest).
         let _ = self.state.spent.insert_if_absent_shared(
             &self.state.store,
             lid.as_bytes(),
-            &u32::MAX,
+            &Vec::new(),
         )?;
-        let id = license_crl_id(lid);
-        let mut crl = self.state.crl.write();
-        crl.license_crl.insert(id);
-        crl.license_crl_seq += 1;
-        self.persist_crl_entry(&mut crl, b'l', &id)
+        self.revoke_in_crl(b'l', license_crl_id(lid))
     }
 
-    /// Authoritative status of a license id — the reconciliation query
-    /// for ambiguous wire outcomes: a client whose transfer response was
-    /// lost re-asks here whether the old id committed (`Transferred`) or
-    /// is still `Active`. License ids are 16 unguessable random bytes,
-    /// so only a party already holding the id can ask about it.
+    /// Authoritative status of a license id: whether it is active (and
+    /// for which pseudonym), transferred or revoked. License ids are 16
+    /// unguessable bytes, so only a party already holding the id can ask
+    /// about it.
     pub fn license_status(&self, lid: &LicenseId) -> LicenseStatus {
         // The spent table is the authoritative exactly-once record; its
-        // value distinguishes a committed transfer (the transfer epoch)
-        // from a direct revocation (`u32::MAX`, see `revoke_license`).
+        // value distinguishes a committed transfer (the transfer digest)
+        // from a direct revocation (empty, see `revoke_license`).
         if let Ok(Some(mark)) = self
             .state
             .spent
             .get_shared(&self.state.store, lid.as_bytes())
         {
-            return if mark == u32::MAX {
+            return if mark.is_empty() {
                 LicenseStatus::Revoked
             } else {
                 LicenseStatus::Transferred
@@ -1253,6 +1372,20 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     pub fn store(&self) -> &B {
         &self.state.store
     }
+}
+
+/// The digest a coin serial is deposited under: binds the coin to the
+/// content bought and the pseudonym the license is sealed to, so only the
+/// identical request replays it.
+pub fn purchase_digest(serial: &[u8; 32], content: &ContentId, holder: &KeyId) -> [u8; 32] {
+    sha256_concat(&[b"p2drm-purchase-v1", serial, content.as_bytes(), &holder.0])
+}
+
+/// The digest a transferred license id is marked spent with: binds the
+/// old id to the recipient pseudonym, so only the identical request
+/// replays it.
+pub fn transfer_digest(lid: &LicenseId, recipient: &KeyId) -> [u8; 32] {
+    sha256_concat(&[b"p2drm-transfer-v1", lid.as_bytes(), &recipient.0])
 }
 
 /// License ids enter CRLs as their SHA-256 [`KeyId`] image.

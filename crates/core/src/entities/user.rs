@@ -2,8 +2,9 @@
 //! wallet, pseudonym certificates and owned licenses.
 
 use crate::entities::smartcard::SmartCard;
-use crate::ids::{LicenseId, UserId};
+use crate::ids::{ContentId, LicenseId, UserId};
 use crate::license::License;
+use crate::protocol::messages::PurchaseRequest;
 use p2drm_payment::Wallet;
 use p2drm_pki::cert::{AttributeCertificate, KeyId, PseudonymCertificate};
 
@@ -43,6 +44,11 @@ pub struct UserAgent {
     attribute_certs: Vec<AttributeCertificate>,
     current_uses: u32,
     licenses: Vec<OwnedLicense>,
+    /// Purchase requests sent without a definite answer: the provider may
+    /// have deposited their coins. The next purchase of the same item
+    /// resends the request, which the provider answers with the license
+    /// it issued (or issues it now) — never a second charge.
+    unsettled: Vec<PurchaseRequest>,
 }
 
 impl UserAgent {
@@ -58,6 +64,7 @@ impl UserAgent {
             attribute_certs: Vec::new(),
             current_uses: 0,
             licenses: Vec::new(),
+            unsettled: Vec::new(),
         }
     }
 
@@ -138,6 +145,25 @@ impl UserAgent {
     /// All owned licenses.
     pub fn licenses(&self) -> &[OwnedLicense] {
         &self.licenses
+    }
+
+    /// Keeps a purchase request whose outcome is unknown, to resend.
+    pub fn keep_unsettled(&mut self, request: PurchaseRequest) {
+        self.unsettled.push(request);
+    }
+
+    /// Takes back the unsettled purchase of `content`, if one is kept.
+    pub fn take_unsettled(&mut self, content: &ContentId) -> Option<PurchaseRequest> {
+        let pos = self
+            .unsettled
+            .iter()
+            .position(|r| r.content_id == *content)?;
+        Some(self.unsettled.remove(pos))
+    }
+
+    /// Purchase requests awaiting a resend.
+    pub fn unsettled(&self) -> &[PurchaseRequest] {
+        &self.unsettled
     }
 }
 

@@ -513,10 +513,9 @@ impl Decode for CatalogResponse {
     }
 }
 
-/// User → Provider: authoritative status of a license id (the
-/// reconciliation query for ambiguous transfer outcomes — license ids
-/// are 16 unguessable random bytes, so only a party to the license can
-/// ask about it).
+/// User → Provider: authoritative status of a license id (license ids
+/// are 16 unguessable bytes, so only a party to the license can ask
+/// about it).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LicenseStatusRequest {
     /// The id being queried.

@@ -3,8 +3,9 @@
 //! Each engine orchestrates entity method calls in the order the paper's
 //! protocol figures prescribe, and records every message (with exact
 //! canonical byte sizes) into a [`crate::Transcript`] — which is how the
-//! repository reproduces those figures as executable artifacts (T1/T2 in
-//! EXPERIMENTS.md) and how experiment E1 measures message costs.
+//! repository reproduces those figures as executable artifacts (the
+//! `t1`/`t2` experiment arms) and how experiment E1 measures message
+//! costs.
 
 pub mod access;
 pub mod attribute;

@@ -10,7 +10,8 @@ use crate::entities::provider::ContentProvider;
 use crate::entities::user::UserAgent;
 use crate::ids::ContentId;
 use crate::license::License;
-use crate::protocol::messages::{PurchaseRequest, PurchaseResponse};
+use crate::protocol::messages::PurchaseResponse;
+use crate::service::{ApiErrorCode, PurchaseSession};
 use crate::CoreError;
 use p2drm_crypto::rng::CryptoRng;
 use p2drm_payment::Mint;
@@ -33,47 +34,21 @@ pub fn purchase<B: ConcurrentKv, R: CryptoRng + ?Sized>(
     let item_meta = provider
         .content_meta(&content_id)
         .ok_or(CoreError::UnknownContent(content_id))?;
-    let item_price = item_meta.price;
 
-    let pseudonym_cert = user
-        .current_pseudonym()
-        .ok_or(CoreError::BadPseudonym("no usable pseudonym (policy)"))?
-        .clone();
-
-    // Attach the attribute credential bound to this pseudonym when the
-    // content demands one (the provider re-verifies everything).
-    let attribute_cert = match &item_meta.required_attribute {
-        None => None,
-        Some(attr) => Some(
-            user.attribute_cert_for(&pseudonym_cert.pseudonym_id(), attr)
-                .ok_or(CoreError::BadPseudonym(
-                    "attribute credential required but not held for this pseudonym",
-                ))?
-                .clone(),
-        ),
-    };
-
-    // Obtain an anonymous coin covering the price (blinding dance with
-    // the mint; the mint debits the account but never sees the serial).
-    // When the price is not a mint denomination, the smallest covering
-    // coin is used — fixed-denomination e-cash cannot make change.
-    let account = user.account.clone();
-    let coin = user
-        .wallet
-        .coin_for_amount(mint, &account, item_price, rng)?;
+    // Attach the current pseudonym, the attribute credential bound to it
+    // when the content demands one (the provider re-verifies
+    // everything), and an anonymous coin covering the price (blinding
+    // dance with the mint; the mint debits the account but never sees the
+    // serial). When the price is not a mint denomination, the smallest
+    // covering coin is used — fixed-denomination e-cash cannot make
+    // change. An unsettled earlier request for the item is resent instead.
+    let (session, request) = PurchaseSession::begin(user, mint, &item_meta, rng)?;
     transcript.record(
         Party::User,
         Party::Mint,
         "coin-withdrawal",
-        coin.serial.to_vec(), // representative size: serial; blinded value logged by mint
+        request.coin.serial.to_vec(), // representative size: serial; blinded value logged by mint
     );
-
-    let request = PurchaseRequest {
-        content_id,
-        pseudonym_cert,
-        coin,
-        attribute_cert,
-    };
     transcript.record(
         Party::User,
         Party::Provider,
@@ -84,29 +59,19 @@ pub fn purchase<B: ConcurrentKv, R: CryptoRng + ?Sized>(
     let license = match provider.handle_purchase(&request, now_epoch, rng) {
         Ok(license) => license,
         Err(e) => {
-            // Purchase failed after coin withdrawal: put the coin back if
-            // it was not deposited (anything except a payment error).
-            if !matches!(e, CoreError::Payment(_)) {
-                user.wallet.put_back(request.coin.clone());
-            }
+            session.abort(user, Some(ApiErrorCode::from(&e)));
             return Err(e);
         }
     };
 
-    let response = PurchaseResponse {
-        license: license.clone(),
-    };
+    let response = PurchaseResponse { license };
     transcript.record(
         Party::Provider,
         Party::User,
         "purchase-response",
         p2drm_codec::to_bytes(&response),
     );
-
-    let pseudonym_id = request.pseudonym_cert.pseudonym_id();
-    user.note_pseudonym_use();
-    user.add_license(license.clone(), pseudonym_id);
-    Ok(license)
+    Ok(session.finish(user, response))
 }
 
 #[cfg(test)]

@@ -107,7 +107,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use crate::retry::{Admit, CircuitBreaker, Idempotency, RetryBudget, RetryPolicy};
+use crate::retry::{Admit, CircuitBreaker, RetryBudget, RetryPolicy};
 
 /// The wire format version this build speaks.
 pub const WIRE_VERSION: u8 = 1;
@@ -139,7 +139,7 @@ pub enum OpCode {
     CrlSync = 6,
     /// Catalog lookup / listing.
     Catalog = 7,
-    /// License-status query (transfer reconciliation).
+    /// License-status query (active / transferred / revoked by id).
     LicenseStatus = 8,
     /// Unified metrics snapshot (operator op; off unless the provider
     /// opts in via `ProviderConfig::metrics_dump`).
@@ -185,32 +185,6 @@ impl OpCode {
             OpCode::Catalog => "catalog",
             OpCode::LicenseStatus => "license-status",
             OpCode::MetricsDump => "metrics-dump",
-        }
-    }
-
-    /// Retry classification for the recovery policy (see
-    /// [`crate::retry::Idempotency`]).
-    ///
-    /// Reads ([`OpCode::Catalog`], [`OpCode::Download`],
-    /// [`OpCode::LicenseStatus`], [`OpCode::CrlSync`],
-    /// [`OpCode::MetricsDump`]) and the blind-issuance rounds (re-running
-    /// a round with the same blinded value yields the same signature) are
-    /// retry-safe. [`OpCode::Purchase`] deposits a coin and
-    /// [`OpCode::Transfer`] retires a license — blindly re-sending after
-    /// an ambiguous failure can double-commit, so those must go through
-    /// coin parking / `LicenseStatus` reconciliation.
-    pub fn idempotency(self) -> crate::retry::Idempotency {
-        use crate::retry::Idempotency;
-        match self {
-            OpCode::Purchase | OpCode::Transfer => Idempotency::MustReconcile,
-            OpCode::Error
-            | OpCode::Download
-            | OpCode::PseudonymIssue
-            | OpCode::AttributeIssue
-            | OpCode::CrlSync
-            | OpCode::Catalog
-            | OpCode::LicenseStatus
-            | OpCode::MetricsDump => Idempotency::Safe,
         }
     }
 }
@@ -551,7 +525,7 @@ pub enum WireRequest {
     CrlSync(CrlSyncRequest),
     /// Catalog lookup / listing.
     Catalog(CatalogRequest),
-    /// License-status query (transfer reconciliation).
+    /// License-status query.
     LicenseStatus(LicenseStatusRequest),
     /// Unified metrics snapshot (operator op, opt-in).
     MetricsDump(MetricsDumpRequest),
@@ -1273,10 +1247,10 @@ pub fn snapshot_from_dump(dump: &MetricsDumpResponse) -> Snapshot {
 /// Real transports fail, and the variants split on the one question the
 /// client's recovery logic needs answered: **did the request possibly
 /// reach the service?** [`TransportError::Unreachable`] means definitely
-/// not (client state can unwind as if the call was never made); the
-/// other variants are ambiguous (the service may have committed), so
-/// consumed resources — a purchase's coin — must be parked and
-/// reconciled, never silently restored or dropped.
+/// not; the other variants are ambiguous (the service may have
+/// committed). Every op is safe to resend either way: the provider
+/// answers a resent purchase or transfer with what its first attempt
+/// committed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TransportError {
     /// The request was never sent — no connection could be established,
@@ -1492,8 +1466,8 @@ impl From<p2drm_payment::PaymentError> for WireError {
 }
 
 /// Counters/histograms that make client-side recovery visible instead
-/// of silent: retries taken, give-ups, breaker activity, reconciles,
-/// and the backoff pauses actually slept.
+/// of silent: retries taken, give-ups, breaker activity, and the backoff
+/// pauses actually slept.
 pub struct RecoveryMetrics {
     /// Retries actually sent (`client_retries`).
     pub retries: Arc<Counter>,
@@ -1505,9 +1479,6 @@ pub struct RecoveryMetrics {
     /// Requests rejected locally by an open breaker
     /// (`client_breaker_rejections`).
     pub breaker_rejections: Arc<Counter>,
-    /// Reconciliation actions taken — transfer status repairs and
-    /// parked-coin settlements (`client_reconciles`).
-    pub reconciles: Arc<Counter>,
     /// Distribution of backoff pauses slept (`client_backoff_ns`).
     pub backoff_ns: Arc<AtomicHistogram>,
 }
@@ -1521,7 +1492,6 @@ impl RecoveryMetrics {
             giveups: registry.counter("client_retry_giveups"),
             breaker_transitions: registry.counter("client_breaker_transitions"),
             breaker_rejections: registry.counter("client_breaker_rejections"),
-            reconciles: registry.counter("client_reconciles"),
             backoff_ns: registry.histogram("client_backoff_ns"),
         }
     }
@@ -1530,8 +1500,9 @@ impl RecoveryMetrics {
 /// End-to-end recovery policy for a [`WireClient`]: retry whole
 /// operations (not just connects) under a backoff policy, bounded by a
 /// retry budget and a circuit breaker, honoring the server's
-/// `retry_after_ms` backpressure hints, and retrying ambiguous failures
-/// only for ops classified retry-safe ([`OpCode::idempotency`]).
+/// `retry_after_ms` backpressure hints. Every op is retry-safe: reads
+/// and issuance rounds repeat harmlessly, and the provider answers a
+/// resent purchase or transfer with what its first attempt committed.
 pub struct Recovery {
     /// Backoff/attempts/deadline policy (deterministic jitter).
     pub policy: RetryPolicy,
@@ -1602,8 +1573,7 @@ impl<T: Transport> WireClient<T> {
 
     /// Enables operation-level recovery: every [`WireClient::call`]
     /// retries per the policy (bounded by budget, breaker and deadline),
-    /// honoring server `retry_after_ms` hints; ambiguous failures are
-    /// retried only for retry-safe ops ([`OpCode::idempotency`]).
+    /// honoring server `retry_after_ms` hints.
     pub fn with_recovery(mut self, recovery: Recovery) -> Self {
         self.recovery = Some(recovery);
         self
@@ -1690,13 +1660,11 @@ impl<T: Transport> WireClient<T> {
     ///
     /// Retry classification:
     /// * decoded [`ApiErrorCode::ServiceUnavailable`] — a busy shed (or
-    ///   an op this endpoint does not serve); the server provably did
-    ///   not commit the op, so **any** op may retry, pausing at least
-    ///   the response's `retry_after_ms` hint;
-    /// * transport failure that is definitely-unsent — any op retries;
-    /// * ambiguous transport/envelope/correlation failure — only
-    ///   retry-safe ops retry; must-reconcile ops surface the error so
-    ///   the caller's parking/reconcile accounting runs;
+    ///   an op this endpoint does not serve), retried after at least the
+    ///   response's `retry_after_ms` hint;
+    /// * decoded [`ApiErrorCode::Storage`] — the service failed to
+    ///   persist; the resend completes whatever it committed;
+    /// * transport, envelope or correlation failure — retried;
     /// * any other decoded error — authoritative, never retried.
     fn call_recovering(
         &mut self,
@@ -1717,7 +1685,6 @@ impl<T: Transport> WireClient<T> {
         rec: &Recovery,
         body: WireRequest,
     ) -> Result<WireResponse, WireError> {
-        let idem = body.opcode().idempotency();
         let deadline = rec.policy.op_deadline.map(|d| Instant::now() + d);
         let mut retry: u32 = 0;
         loop {
@@ -1737,7 +1704,12 @@ impl<T: Transport> WireClient<T> {
             // `None` → final; `Some(floor)` → retriable with a minimum
             // pause (the server's backpressure hint).
             let floor = match &outcome {
-                Ok(WireResponse::Error(e)) if e.code == ApiErrorCode::ServiceUnavailable => {
+                Ok(WireResponse::Error(e))
+                    if matches!(
+                        e.code,
+                        ApiErrorCode::ServiceUnavailable | ApiErrorCode::Storage
+                    ) =>
+                {
                     rec.breaker.on_failure();
                     Some(Duration::from_millis(u64::from(e.retry_after_ms)))
                 }
@@ -1746,15 +1718,12 @@ impl<T: Transport> WireClient<T> {
                     rec.budget.on_success();
                     return outcome;
                 }
-                Err(WireError::Transport(t)) => {
-                    rec.breaker.on_failure();
-                    (t.definitely_unsent() || idem == Idempotency::Safe).then_some(Duration::ZERO)
-                }
-                Err(WireError::Envelope(_))
+                Err(WireError::Transport(_))
+                | Err(WireError::Envelope(_))
                 | Err(WireError::CorrelationMismatch { .. })
                 | Err(WireError::UnexpectedResponse { .. }) => {
                     rec.breaker.on_failure();
-                    (idem == Idempotency::Safe).then_some(Duration::ZERO)
+                    Some(Duration::ZERO)
                 }
                 // A decoded non-busy error is the server's authoritative
                 // answer; a client-side error will not change on resend.
@@ -1899,25 +1868,10 @@ impl<T: Transport> WireClient<T> {
     }
 
     /// Anonymous purchase over the wire: catalog quote, coin withdrawal
-    /// (client ↔ mint, off this wire), purchase round trip, wallet
-    /// recovery on failure.
-    ///
-    /// Coin accounting on the failure paths:
-    /// * decoded **error response** — the server did not issue; the coin
-    ///   returns to the wallet unless the error is in the payment range
-    ///   (the mint consumed or rejected it);
-    /// * **definitely-unsent transport failure**
-    ///   ([`TransportError::definitely_unsent`], e.g. connect refused) —
-    ///   the request never left this host, so the coin simply returns
-    ///   to the wallet;
-    /// * **ambiguous outcome** (connection broke mid-exchange, reply
-    ///   fails to decode, correlation mismatch, unexpected response op)
-    ///   — the server may or may not have deposited the coin, so it is
-    ///   parked in the wallet's pending pool
-    ///   ([`p2drm_payment::Wallet::pending`]) rather than silently
-    ///   dropped; once the transport recovers, settle it with
-    ///   [`p2drm_payment::Wallet::reconcile_pending`] against the
-    ///   mint's authoritative spent-serial record.
+    /// (client ↔ mint, off this wire), purchase round trip. A failure
+    /// settles the coin as [`PurchaseSession`] describes; when the outcome
+    /// is unknown the request is kept on `user`, and purchasing the same
+    /// item again resends it.
     pub fn purchase<R: CryptoRng + ?Sized>(
         &mut self,
         user: &mut UserAgent,
@@ -1927,39 +1881,33 @@ impl<T: Transport> WireClient<T> {
     ) -> Result<License, WireError> {
         let meta = self.content_meta(content_id)?;
         let (session, request) = PurchaseSession::begin(user, mint, &meta, rng)?;
-        match self.call(WireRequest::Purchase(request)) {
-            Ok(WireResponse::Purchase(resp)) => Ok(session.finish(user, resp)),
-            Ok(WireResponse::Error(e)) => {
-                session.abort(user, &e);
-                Err(WireError::Api(e))
-            }
-            Ok(other) => {
-                session.park(user);
-                Err(unexpected("purchase", other))
-            }
-            Err(WireError::Transport(t)) if t.definitely_unsent() => {
-                session.recover(user);
-                Err(WireError::Transport(t))
-            }
-            Err(e) => {
-                session.park(user);
-                Err(e)
+        let outcome = self.call(WireRequest::Purchase(request));
+        session.settle(user, outcome)
+    }
+
+    /// Resends every unsettled purchase kept on `user` (see
+    /// [`PurchaseSession`]); one outcome per request, in the order they
+    /// were kept. Requests that fail again without a definite answer
+    /// stay kept.
+    pub fn settle(&mut self, user: &mut UserAgent) -> Vec<Result<License, WireError>> {
+        let items: Vec<ContentId> = user.unsettled().iter().map(|r| r.content_id).collect();
+        let mut out = Vec::with_capacity(items.len());
+        for content in items {
+            if let Some((session, request)) = PurchaseSession::resume(user, &content) {
+                let outcome = self.call(WireRequest::Purchase(request));
+                out.push(session.settle(user, outcome));
             }
         }
+        out
     }
 
     /// Pipelines several anonymous purchases on one connection: all
     /// sessions begin (each withdrawing its own covering coin), all
     /// requests are submitted, and replies settle **as they arrive**,
     /// possibly out of order. Returns one outcome per content id, in
-    /// input order.
-    ///
-    /// Coin accounting is per session and identical to
-    /// [`WireClient::purchase`]: a decoded error aborts (coin returns
-    /// unless the error is in the payment range), a definitely-unsent
-    /// transport failure recovers the coin, and every ambiguous outcome
-    /// — including a channel failure that voids several in-flight
-    /// sessions at once — parks its coin for reconciliation.
+    /// input order. Each session settles its coin exactly as
+    /// [`WireClient::purchase`] does, including a channel failure that
+    /// leaves several in-flight sessions without an answer at once.
     pub fn purchase_many<R: CryptoRng + ?Sized>(
         &mut self,
         user: &mut UserAgent,
@@ -2014,15 +1962,9 @@ impl<T: Transport> WireClient<T> {
                 Ok(()) => {
                     sessions.insert(sent, (slot, session));
                 }
-                Err(t) if t.definitely_unsent() => {
-                    session.recover(user);
-                    // lint: allow(panic, slot enumerates content_ids and results has one slot per id)
-                    results[slot] = Some(Err(WireError::Transport(t)));
-                }
                 Err(t) => {
-                    session.park(user);
                     // lint: allow(panic, slot enumerates content_ids and results has one slot per id)
-                    results[slot] = Some(Err(WireError::Transport(t)));
+                    results[slot] = Some(session.settle(user, Err(WireError::Transport(t))));
                 }
             }
         }
@@ -2033,21 +1975,7 @@ impl<T: Transport> WireClient<T> {
                         continue;
                     };
                     // lint: allow(panic, slot comes from sessions, which only holds valid slots)
-                    results[slot] = Some(match Self::decode_reply(corr, &reply) {
-                        Ok(WireResponse::Purchase(resp)) => Ok(session.finish(user, resp)),
-                        Ok(WireResponse::Error(e)) => {
-                            session.abort(user, &e);
-                            Err(WireError::Api(e))
-                        }
-                        Ok(other) => {
-                            session.park(user);
-                            Err(unexpected("purchase", other))
-                        }
-                        Err(e) => {
-                            session.park(user);
-                            Err(e)
-                        }
-                    });
+                    results[slot] = Some(session.settle(user, Self::decode_reply(corr, &reply)));
                 }
                 Ok(None) => {
                     let err = TransportError::Broken(
@@ -2055,18 +1983,16 @@ impl<T: Transport> WireClient<T> {
                             .to_string(),
                     );
                     for (_, (slot, session)) in sessions.drain() {
-                        session.park(user);
                         // lint: allow(panic, slot comes from sessions, which only holds valid slots)
-                        results[slot] = Some(Err(WireError::Transport(err.clone())));
+                        results[slot] =
+                            Some(session.settle(user, Err(WireError::Transport(err.clone()))));
                     }
                 }
                 Err(e) => {
-                    // Channel failure: every in-flight purchase is now
-                    // ambiguous at once — park them all.
                     for (_, (slot, session)) in sessions.drain() {
-                        session.park(user);
                         // lint: allow(panic, slot comes from sessions, which only holds valid slots)
-                        results[slot] = Some(Err(WireError::Transport(e.clone())));
+                        results[slot] =
+                            Some(session.settle(user, Err(WireError::Transport(e.clone()))));
                     }
                 }
             }
@@ -2081,17 +2007,11 @@ impl<T: Transport> WireClient<T> {
     /// Privacy-preserving transfer over the wire (both agents are local
     /// to this client — e.g. a marketplace app handling the hand-over).
     ///
-    /// Local state moves only after a decoded success response. That is
-    /// deliberately conservative, and it leaves a known divergence
-    /// window: if the provider **commits** the transfer but the response
-    /// is lost or fails to decode, this call errors while the sender
-    /// still holds a license the provider has already retired (the
-    /// recipient's fresh license bytes were in the lost response and
-    /// cannot be recovered here). After any ambiguous outcome — an
-    /// [`WireError::Envelope`], [`WireError::CorrelationMismatch`] or
-    /// [`WireError::UnexpectedResponse`] — repair the sender's view with
-    /// [`WireClient::reconcile_transfer`], which re-queries the
-    /// authoritative license status by id.
+    /// Local state moves only after a decoded success response. After a
+    /// failure the sender still holds the license, and calling this again
+    /// (with the recipient on the same pseudonym) resends the request: if
+    /// the provider committed the first attempt it answers with the
+    /// successor it issued then.
     pub fn transfer<R: CryptoRng + ?Sized>(
         &mut self,
         sender: &mut UserAgent,
@@ -2135,30 +2055,6 @@ impl<T: Transport> WireClient<T> {
         }))? {
             WireResponse::LicenseStatus(resp) => Ok(resp.status),
             other => Err(unexpected("license-status", other)),
-        }
-    }
-
-    /// Repairs the sender's local state after an ambiguous transfer
-    /// outcome (see [`WireClient::transfer`]): re-queries the license's
-    /// authoritative status and drops it locally when the provider has
-    /// already retired it ([`LicenseStatus::Transferred`] — the transfer
-    /// committed server-side — or [`LicenseStatus::Revoked`]). Returns
-    /// `true` when a stale local license was dropped, `false` when the
-    /// license is still active (the transfer never committed; the sender
-    /// keeps it and may retry).
-    pub fn reconcile_transfer(
-        &mut self,
-        sender: &mut UserAgent,
-        license_id: LicenseId,
-    ) -> Result<bool, WireError> {
-        if let Some(m) = self.recovery.as_ref().and_then(|r| r.metrics.as_ref()) {
-            m.reconciles.inc();
-        }
-        match self.license_status(license_id)? {
-            LicenseStatus::Transferred | LicenseStatus::Revoked => {
-                Ok(sender.remove_license(&license_id).is_some())
-            }
-            LicenseStatus::Active { .. } | LicenseStatus::Unknown => Ok(false),
         }
     }
 
@@ -2372,25 +2268,38 @@ impl AttributeIssueSession {
 }
 
 /// Client half of an anonymous purchase: quote → pay (coin withdrawal
-/// with the mint) → request → settle, with coin recovery on non-payment
-/// failures (mirrors [`crate::protocol::purchase()`]).
+/// with the mint) → request → settle, over the wire or in process
+/// ([`crate::protocol::purchase()`]).
+///
+/// A purchase that gets no license settles its coin by what the answer
+/// proves. A payment refusal drops the coin (the mint rejected it or
+/// already holds it). A refusal from the provider's purchase checks
+/// returns it to the wallet: the provider answers a replay of a
+/// committed request before any check, so such a refusal means no
+/// attempt deposited it. Any other outcome — a refusal before dispatch
+/// (busy, envelope), a storage failure, or no decodable answer — may
+/// follow an earlier attempt that committed, so the request is kept on
+/// the agent ([`UserAgent::keep_unsettled`]) and the next `begin` for
+/// the same item resends it. The provider answers a resent request with
+/// the license its first attempt issued, so resending never pays twice.
 pub struct PurchaseSession {
-    /// The withdrawn coin, kept so [`PurchaseSession::abort`] can return
-    /// it to the wallet (the rest of the request needs no unwinding).
-    coin: p2drm_payment::Coin,
-    pseudonym: KeyId,
+    request: PurchaseRequest,
 }
 
 impl PurchaseSession {
     /// Builds the purchase request from a catalog quote: attaches the
     /// current pseudonym, a covering coin, and the attribute credential
-    /// when the item demands one.
+    /// when the item demands one — or, when an unsettled request for the
+    /// item is kept on the agent, resumes that one.
     pub fn begin<R: CryptoRng + ?Sized>(
         user: &mut UserAgent,
         mint: &Mint,
         meta: &ContentMeta,
         rng: &mut R,
     ) -> Result<(Self, PurchaseRequest), CoreError> {
+        if let Some(resumed) = Self::resume(user, &meta.id) {
+            return Ok(resumed);
+        }
         let pseudonym_cert = user
             .current_pseudonym()
             .ok_or(CoreError::BadPseudonym("no usable pseudonym (policy)"))?
@@ -2417,8 +2326,18 @@ impl PurchaseSession {
         };
         Ok((
             PurchaseSession {
-                coin: request.coin.clone(),
-                pseudonym: request.pseudonym_cert.pseudonym_id(),
+                request: request.clone(),
+            },
+            request,
+        ))
+    }
+
+    /// Takes the unsettled request for `content` off the agent to resend.
+    fn resume(user: &mut UserAgent, content: &ContentId) -> Option<(Self, PurchaseRequest)> {
+        let request = user.take_unsettled(content)?;
+        Some((
+            PurchaseSession {
+                request: request.clone(),
             },
             request,
         ))
@@ -2428,34 +2347,46 @@ impl PurchaseSession {
     /// the license.
     pub fn finish(self, user: &mut UserAgent, response: PurchaseResponse) -> License {
         user.note_pseudonym_use();
-        user.add_license(response.license.clone(), self.pseudonym);
+        user.add_license(
+            response.license.clone(),
+            self.request.pseudonym_cert.pseudonym_id(),
+        );
         response.license
     }
 
-    /// Unwinds a failed purchase: the withdrawn coin goes back to the
-    /// wallet unless the failure was a payment error (the mint consumed
-    /// or rejected the coin — re-spending it would double-spend).
-    pub fn abort(self, user: &mut UserAgent, error: &ApiError) {
-        if !error.code.is_payment() {
-            user.wallet.put_back(self.coin);
+    /// Settles a purchase that got no license. `refusal` is the
+    /// provider's decoded error code, `None` when no decodable answer
+    /// came back.
+    pub fn abort(self, user: &mut UserAgent, refusal: Option<ApiErrorCode>) {
+        use ApiErrorCode::*;
+        match refusal {
+            Some(code) if code.is_payment() => {}
+            None
+            | Some(
+                MalformedRequest | UnsupportedVersion | UnknownOpcode | ServiceUnavailable
+                | Storage | Internal | Unrecognized(_),
+            ) => user.keep_unsettled(self.request),
+            Some(_) => user.wallet.put_back(self.request.coin),
         }
     }
 
-    /// Parks the coin after an **ambiguous** outcome — the request went
-    /// out but no decodable answer came back, so the provider may or may
-    /// not have deposited the coin. It moves to the wallet's pending
-    /// pool: not spendable (that could double-spend), not lost (the
-    /// wallet reconciles it later).
-    pub fn park(self, user: &mut UserAgent) {
-        user.wallet.park(self.coin);
-    }
-
-    /// Returns the coin to the spendable wallet after a failure that
-    /// **provably never reached the service**
-    /// ([`TransportError::definitely_unsent`]): nothing was deposited,
-    /// so re-spending cannot double-spend.
-    pub fn recover(self, user: &mut UserAgent) {
-        user.wallet.put_back(self.coin);
+    /// Settles the session from the outcome of its round trip.
+    fn settle(
+        self,
+        user: &mut UserAgent,
+        outcome: Result<WireResponse, WireError>,
+    ) -> Result<License, WireError> {
+        let err = match outcome {
+            Ok(WireResponse::Purchase(resp)) => return Ok(self.finish(user, resp)),
+            Ok(other) => unexpected("purchase", other),
+            Err(e) => e,
+        };
+        let refusal = match &err {
+            WireError::Api(e) => Some(e.code),
+            _ => None,
+        };
+        self.abort(user, refusal);
+        Err(err)
     }
 }
 

@@ -2,14 +2,14 @@
 //! connect retry, keep-alive reuse, and reconnect when a cached
 //! connection turns out to be dead.
 //!
-//! The error mapping is the whole point: the core client's recovery
-//! logic ([`p2drm_core::service::WireClient`]) splits on
+//! The error mapping is the whole point: callers split on
 //! [`TransportError::definitely_unsent`], so this transport must only
 //! claim `Unreachable` when **no byte of the request** can have reached
 //! the server — local refusals, connect failures, and a first write
 //! syscall that failed outright. Everything after that is
-//! `Broken`/`Frame`: ambiguous, and the client parks consumed resources
-//! for reconciliation instead of unwinding them.
+//! `Broken`/`Frame`: ambiguous — the server may have committed, and the
+//! client's answer is to resend the same request, which every op is
+//! safe to receive twice.
 //!
 //! Pipelining: [`TcpTransport::submit`] writes the framed request and
 //! records its correlation id in the in-flight set;

@@ -614,9 +614,9 @@ impl EventLoop {
             if reply.bytes.len() > self.control.config.max_frame as usize {
                 // Deliberately no error envelope: the op *was*
                 // dispatched, and an error reply would make clients
-                // unwind state that must instead go through their
-                // ambiguous-outcome reconciliation. Count it and close
-                // so the client sees a broken connection.
+                // unwind state that must instead be settled by resending
+                // the request. Count it and close so the client sees a
+                // broken connection.
                 self.control.metrics.oversized_reply();
                 self.close_conn(token);
                 continue;

@@ -6,7 +6,9 @@
 //!
 //! * [`Mint`] — issues coins blindly per denomination (it debits an
 //!   *account* at withdrawal but never sees the coin serial), and detects
-//!   double spends at deposit through the spent-serial store;
+//!   double spends at deposit through the spent-serial store, which binds
+//!   each serial to the request that spent it so a resent request is a
+//!   replay rather than a double spend;
 //! * [`Wallet`] — user side: withdraws, holds, and spends coins;
 //! * [`Coin`] — `(serial, denomination, FDH blind signature)`;
 //! * [`identified`] — the baseline: a conventional account charge that

@@ -1,6 +1,6 @@
-//! Experiment driver: regenerates every table/figure artifact in
-//! EXPERIMENTS.md quickly (fast-test parameters; the criterion benches in
-//! `p2drm-bench` sweep key sizes at realistic parameters).
+//! Experiment driver: regenerates every table/figure artifact quickly
+//! (fast-test parameters; the criterion benches in `p2drm-bench` sweep
+//! key sizes at realistic parameters).
 //!
 //! Usage:
 //! ```text
@@ -664,7 +664,7 @@ fn e10_payment(quick: bool) {
 
     let t0 = std::time::Instant::now();
     for c in &coins {
-        mint.deposit(c).unwrap();
+        mint.deposit(c, &[1; 32]).unwrap();
     }
     rows.push(E10Row {
         op: "deposit (verify+spend-check)".into(),
@@ -672,10 +672,11 @@ fn e10_payment(quick: bool) {
         mean_ns: t0.elapsed().as_nanos() as f64 / iters as f64,
     });
 
-    // Double-spend detection rate must be exactly 100%.
+    // Double-spend detection rate must be exactly 100%: each coin
+    // spent again for another purchase (another digest).
     let mut detected = 0;
     for c in &coins {
-        if mint.deposit(c).is_err() {
+        if mint.deposit(c, &[2; 32]).is_err() {
             detected += 1;
         }
     }
@@ -1429,12 +1430,14 @@ fn e14_observability(quick: bool) {
 
 /// E15: deterministic fault injection and end-to-end recovery. Seeded
 /// chaos drills run the wire purchase flow against a **durable**
-/// provider through a [`p2drm_faults::FaultTransport`] at 1–10% per-site
-/// fault rates; the first drill of each rate also kills the provider
-/// mid-run (unclean drop + a torn shard tail) and resumes it over its
-/// WAL. Every drill must end with the global conservation invariants
-/// intact — deposit/issue agreement, coin conservation, no duplicate
-/// license ids — and one kill/restart schedule is replayed to show the
+/// provider through a [`p2drm_faults::FaultTransport`] and a
+/// [`p2drm_faults::FaultKv`] at 1–10% per-site fault rates; the first
+/// drill of each rate also kills the provider mid-run (unclean drop + a
+/// torn shard tail) and resumes it over its WAL. Every drill must end,
+/// once its unsettled purchases are resent, with the global invariants
+/// intact — deposits == licenses issued == licenses held, coin
+/// conservation, no duplicate license ids — and one kill/restart
+/// schedule is replayed to show the
 /// same seed reproduces a byte-identical fault trace. (The JSON artifact
 /// is `e14_faults`: the fault-drill series kept its issue-assigned name
 /// even though the `e14` CLI slot had gone to observability.)
@@ -1457,7 +1460,7 @@ fn e15_faults(quick: bool) {
             "faults",
             "retries",
             "giveups",
-            "parked r/d",
+            "settled",
             "p99",
             "invariants",
         ],
@@ -1480,7 +1483,7 @@ fn e15_faults(quick: bool) {
                 o.faults_fired.to_string(),
                 o.retries.to_string(),
                 o.giveups.to_string(),
-                format!("{}/{}", o.coins_restored, o.coins_discarded),
+                o.settled.to_string(),
                 fmt_ns(o.latency.p99_ns as f64),
                 if o.invariants_ok() { "ok" } else { "VIOLATED" }.to_string(),
             ]);
@@ -1529,13 +1532,10 @@ fn e15_faults(quick: bool) {
         let n = group.len().max(1) as f64;
         let mean_recovery = group.iter().map(|o| o.recovery_rate).sum::<f64>() / n;
         let retries: u64 = group.iter().map(|o| o.retries).sum();
-        let reconciles: u64 = group
-            .iter()
-            .map(|o| o.coins_restored + o.coins_discarded)
-            .sum();
+        let settled: u64 = group.iter().map(|o| o.settled).sum();
         let worst_p99 = group.iter().map(|o| o.latency.p99_ns).max().unwrap_or(0);
         println!(
-            "  {rate}%: {} drills, mean recovery {:.1}%, {retries} retries, {reconciles} reconciled coins, worst p99 {}",
+            "  {rate}%: {} drills, mean recovery {:.1}%, {retries} retries, {settled} settled by resend, worst p99 {}",
             group.len(),
             100.0 * mean_recovery,
             fmt_ns(worst_p99 as f64)
@@ -1545,7 +1545,7 @@ fn e15_faults(quick: bool) {
             ("drills", group.len().to_json()),
             ("mean_recovery_rate", mean_recovery.to_json()),
             ("retries", retries.to_json()),
-            ("reconciles", reconciles.to_json()),
+            ("settled", settled.to_json()),
             ("worst_p99_ns", worst_p99.to_json()),
         ]));
     }

@@ -1,25 +1,23 @@
-//! E14 — seeded chaos drills: a wire client with operation-level
+//! E15 — seeded chaos drills: a wire client with operation-level
 //! recovery purchasing against a **durable** provider through a
-//! [`FaultTransport`], optionally with a provider kill/restart (torn
-//! shard tail included) in the middle of the run.
+//! [`FaultTransport`], over a store that fails writes through a
+//! [`FaultKv`], optionally with a provider kill/restart (torn shard tail
+//! included) in the middle of the run.
 //!
 //! Every drill is driven by one seed: the fault schedule is a pure
 //! function of `(seed, site, call#)` (see [`p2drm_faults::FaultPlan`]),
 //! the client's jitter stream is seeded, and the workload is fixed — so
-//! a failing drill replays exactly. After the workload the runner
-//! settles every parked coin against the mint and checks the global
-//! invariants the recovery machinery promises to preserve no matter
-//! which faults fired:
+//! a failing drill replays exactly. After the workload the faults stop,
+//! the client resends every purchase still unsettled, and the runner
+//! checks the global invariants no matter which faults fired:
 //!
-//! 1. **deposit/issue agreement** — coins the mint marked spent ==
-//!    licenses the provider issued (a lost *reply* loses the client its
-//!    license bytes, never the books' balance);
+//! 1. **exactly once** — coins the mint credited == licenses the
+//!    provider issued == licenses the client holds;
 //! 2. **coin conservation** — every withdrawn coin is exactly one of
-//!    {spendable in the wallet, deposited at the mint}; the pending
-//!    pool drains to empty once reconciled;
-//! 3. **no duplicate licenses** — every license the client actually
-//!    holds has a distinct id, and the provider issued at least that
-//!    many.
+//!    {spendable in the wallet, deposited at the mint}, and no purchase
+//!    is left unsettled;
+//! 3. **no duplicate licenses** — every license the client holds has a
+//!    distinct id.
 
 use crate::json::{Json, ToJson};
 use crate::metrics::{Histogram, Summary};
@@ -28,9 +26,11 @@ use p2drm_core::retry::{CircuitBreaker, RetryBudget, RetryPolicy};
 use p2drm_core::service::{Loopback, ProviderService, Recovery, RecoveryMetrics, WireClient};
 use p2drm_core::system::{System, SystemConfig};
 use p2drm_crypto::rng::test_rng;
-use p2drm_faults::{crash, transport_sites, FaultPlan, FaultTransport, Schedule};
+use p2drm_faults::{
+    crash, kv_sites, transport_sites, FaultKv, FaultPlan, FaultTransport, Schedule,
+};
 use p2drm_obs::Registry;
-use p2drm_store::{SyncPolicy, WalShardedConfig};
+use p2drm_store::{SyncPolicy, WalShardedConfig, WalShardedKv};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,7 +43,8 @@ pub struct ChaosConfig {
     /// Purchase attempts across the whole drill.
     pub ops: usize,
     /// Per-site fault probability, in percent (the paper-facing "1–10%
-    /// fault rate" knob; each transport site flips its own coin).
+    /// fault rate" knob; each transport and store site flips its own
+    /// coin).
     pub fault_rate_pct: u32,
     /// Kill the provider mid-run (unclean drop + a torn shard tail) and
     /// resume it from its WAL directory before the second half.
@@ -73,7 +74,7 @@ pub struct ChaosOutcome {
     pub kill_restart: bool,
     /// Purchase attempts made.
     pub ops_attempted: u64,
-    /// Purchases that returned a license to the client.
+    /// Purchases that returned a license to the client during the run.
     pub ops_succeeded: u64,
     /// `ops_succeeded / ops_attempted`.
     pub recovery_rate: f64,
@@ -83,12 +84,9 @@ pub struct ChaosOutcome {
     pub retries: u64,
     /// Operations abandoned with attempts/budget exhausted.
     pub giveups: u64,
-    /// Parked coins restored to the wallet by reconciliation (the
-    /// ambiguous spend never happened).
-    pub coins_restored: u64,
-    /// Parked coins discarded by reconciliation (the mint had already
-    /// deposited them — their purchase committed server-side).
-    pub coins_discarded: u64,
+    /// Licenses obtained after the run by resending the purchases it
+    /// left unsettled.
+    pub settled: u64,
     /// Latency of successful purchases.
     pub latency: Summary,
     /// FNV-1a fingerprint of the fault plan's decision trace; equal
@@ -119,8 +117,7 @@ impl ToJson for ChaosOutcome {
             ("faults_fired", self.faults_fired.to_json()),
             ("retries", self.retries.to_json()),
             ("giveups", self.giveups.to_json()),
-            ("coins_restored", self.coins_restored.to_json()),
-            ("coins_discarded", self.coins_discarded.to_json()),
+            ("settled", self.settled.to_json()),
             ("latency", self.latency.to_json()),
             (
                 "trace_fingerprint",
@@ -174,20 +171,27 @@ fn drill_recovery(seed: u64, ops: usize, registry: &Registry) -> Recovery {
     }
 }
 
-/// Arms every transport site with an independent per-call coin at
-/// `rate_pct` percent.
-fn armed_plan(seed: u64, rate_pct: u32) -> Arc<FaultPlan> {
+/// The sites a drill arms: every transport site, and the store's write
+/// failures.
+const SITES: [&str; 9] = [
+    transport_sites::RESET_MID_WRITE,
+    transport_sites::DROP_REQUEST,
+    transport_sites::BUSY_STORM,
+    transport_sites::DELAY,
+    transport_sites::DROP_REPLY,
+    transport_sites::TORN_FRAME,
+    transport_sites::DUPLICATE_REPLY,
+    kv_sites::FAIL_PUT,
+    kv_sites::FAIL_INSERT,
+];
+
+/// Sets every drill site to an independent per-call coin at `rate_pct`
+/// percent (`0` disarms them).
+fn arm(plan: &FaultPlan, rate_pct: u32) {
     let p = f64::from(rate_pct) / 100.0;
-    Arc::new(
-        FaultPlan::new(seed)
-            .with(transport_sites::RESET_MID_WRITE, Schedule::Probability(p))
-            .with(transport_sites::DROP_REQUEST, Schedule::Probability(p))
-            .with(transport_sites::BUSY_STORM, Schedule::Probability(p))
-            .with(transport_sites::DELAY, Schedule::Probability(p))
-            .with(transport_sites::DROP_REPLY, Schedule::Probability(p))
-            .with(transport_sites::TORN_FRAME, Schedule::Probability(p))
-            .with(transport_sites::DUPLICATE_REPLY, Schedule::Probability(p)),
-    )
+    for site in SITES {
+        plan.set(site, Schedule::Probability(p));
+    }
 }
 
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -207,20 +211,23 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
         shards: 4,
         policy: SyncPolicy::FlushEach,
     };
+    let plan = Arc::new(FaultPlan::new(config.seed));
+    let open = |plan: &Arc<FaultPlan>| {
+        let (wal, report) = WalShardedKv::open(&tmp.0, durable).expect("WAL directory opens");
+        (FaultKv::new(wal, plan.clone()), report)
+    };
 
     // The drill's own durable provider (the one that gets killed),
     // sharing the system's mint/root/RA so wire purchases settle against
     // the same books the invariants audit.
-    let (provider, _) = ContentProvider::open_durable(
+    let provider = ContentProvider::with_backend(
         &mut sys.root,
         sys.mint.clone(),
         sys.ra.blind_public().clone(),
-        &tmp.0,
-        durable,
+        open(&plan).0,
         ProviderConfig::fast_test(),
         &mut rng,
-    )
-    .expect("fresh WAL directory opens");
+    );
     let cids: Vec<_> = (0..3)
         .map(|i| {
             provider.publish(
@@ -247,11 +254,10 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
     let withdrawn_before = mint.withdrawal_transcript().len();
     let spent_before = mint.spent_count();
 
-    let plan = armed_plan(config.seed, config.fault_rate_pct);
+    arm(&plan, config.fault_rate_pct);
     let registry = Registry::new();
     let mut latency = Histogram::new();
-    let mut licenses: Vec<p2drm_core::LicenseId> = Vec::new();
-    let (mut succeeded, mut restored, mut discarded) = (0u64, 0u64, 0u64);
+    let mut succeeded = 0u64;
     let mut restart_truncated_tail = false;
 
     let phases: &[usize] = if config.kill_restart {
@@ -277,16 +283,9 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
                     .expect("RA is not behind the faulty wire");
                 let cid = cids[op % cids.len()];
                 let t0 = Instant::now();
-                if let Ok(license) = client.purchase(&mut user, &mint, cid, &mut rng) {
+                if client.purchase(&mut user, &mint, cid, &mut rng).is_ok() {
                     latency.record_duration(t0.elapsed());
-                    licenses.push(license.id());
                     succeeded += 1;
-                }
-                // Periodic reconciliation, as a recovering client would.
-                if op % 8 == 7 {
-                    let (r, d) = user.wallet.reconcile_pending(&mint);
-                    restored += r as u64;
-                    discarded += d as u64;
                 }
             }
         }
@@ -300,14 +299,14 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
             crash::tear_shard_tail(&tmp.0, 1).expect("shard log exists");
             let keys: p2drm_crypto::rsa::RsaKeyPair =
                 p2drm_codec::from_bytes(&vault).expect("key vault decodes");
-            let (resumed, report) = ContentProvider::resume_durable(
+            let (backend, report) = open(&plan);
+            let resumed = ContentProvider::resume_backend(
                 keys,
                 cert.clone(),
                 sys.root.public_key().clone(),
                 sys.mint.clone(),
                 sys.ra.blind_public().clone(),
-                &tmp.0,
-                durable,
+                backend,
                 ProviderConfig::fast_test(),
             )
             .expect("provider resumes over damaged directory");
@@ -316,52 +315,47 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
         }
     }
 
-    // Settle every remaining parked coin against the mint's
-    // authoritative spent-serial record.
-    let (r, d) = user.wallet.reconcile_pending(&mint);
-    restored += r as u64;
-    discarded += d as u64;
+    // The outage ends; the client resends whatever is still unsettled.
+    arm(&plan, 0);
+    let settled = {
+        let service = ProviderService::new(provider.clone(), config.seed).with_ra(sys.ra.clone());
+        service.set_time(sys.epoch(), sys.now());
+        let mut client = WireClient::new(Loopback::new(&service));
+        client.set_epoch(sys.epoch());
+        client
+            .settle(&mut user)
+            .iter()
+            .filter(|r| r.is_ok())
+            .count() as u64
+    };
 
     // Global invariants.
     let mut violations = Vec::new();
-    let spent_delta = mint.spent_count() - spent_before;
-    if spent_delta != provider.license_count() {
+    let deposits = mint.spent_count() - spent_before;
+    let (issued, held) = (provider.license_count(), user.licenses().len());
+    if deposits != issued || issued != held {
         violations.push(format!(
-            "deposit/issue split-brain: mint recorded {spent_delta} deposits, provider issued {} licenses",
-            provider.license_count()
+            "not exactly once: {deposits} deposits, {issued} licenses issued, {held} held"
+        ));
+    }
+    if !user.unsettled().is_empty() {
+        violations.push(format!(
+            "{} purchases still unsettled after resending",
+            user.unsettled().len()
         ));
     }
     let withdrawn = mint.withdrawal_transcript().len() - withdrawn_before;
-    if !user.wallet.pending().is_empty() {
+    if withdrawn != user.wallet.len() + deposits {
         violations.push(format!(
-            "{} coins still parked after reconciliation",
-            user.wallet.pending().len()
-        ));
-    }
-    if withdrawn != user.wallet.len() + spent_delta {
-        violations.push(format!(
-            "coin conservation: {withdrawn} withdrawn != {} spendable + {spent_delta} deposited",
+            "coin conservation: {withdrawn} withdrawn != {} spendable + {deposits} deposited",
             user.wallet.len()
         ));
     }
-    let distinct: BTreeSet<_> = licenses.iter().copied().collect();
-    if distinct.len() != licenses.len() {
+    let distinct: BTreeSet<_> = user.licenses().iter().map(|l| l.license.id()).collect();
+    if distinct.len() != held {
         violations.push(format!(
-            "duplicate license ids: {} held, {} distinct",
-            licenses.len(),
+            "duplicate license ids: {held} held, {} distinct",
             distinct.len()
-        ));
-    }
-    if user.licenses().len() as u64 != succeeded {
-        violations.push(format!(
-            "license ledger drift: {succeeded} successful purchases, {} licenses held",
-            user.licenses().len()
-        ));
-    }
-    if succeeded as usize > provider.license_count() {
-        violations.push(format!(
-            "client holds {succeeded} licenses but provider issued only {}",
-            provider.license_count()
         ));
     }
 
@@ -376,8 +370,7 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
         faults_fired: plan.total_fired(),
         retries: snap.counter("client_retries").unwrap_or(0),
         giveups: snap.counter("client_retry_giveups").unwrap_or(0),
-        coins_restored: restored,
-        coins_discarded: discarded,
+        settled,
         latency: latency.summary(),
         trace_fingerprint: fnv64(&plan.trace_bytes()),
         restart_truncated_tail,

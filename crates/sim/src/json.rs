@@ -2,7 +2,7 @@
 //!
 //! The build environment is offline, so instead of `serde`/`serde_json`
 //! the report structs implement [`ToJson`] by hand — a few lines each,
-//! and the output stays byte-stable for EXPERIMENTS.md regeneration.
+//! and the output stays byte-stable across regenerations.
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]

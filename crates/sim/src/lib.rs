@@ -1,8 +1,8 @@
 //! Simulation harness for the P2DRM evaluation.
 //!
 //! The paper (a workshop protocol paper) published no quantitative
-//! evaluation; EXPERIMENTS.md defines the experiment set E1–E10 and this
-//! crate provides everything those experiments need:
+//! evaluation; this crate provides everything the repository's
+//! experiments (the `experiments` binary's arms) need:
 //!
 //! * [`workload`] — Zipf content popularity and seeded operation mixes;
 //! * [`metrics`] — log-bucketed latency histograms and summaries;
@@ -10,7 +10,7 @@
 //!   shared `&self` provider;
 //! * [`adversary`] — the honest-but-curious provider trying to profile
 //!   users from its own purchase log (E7);
-//! * [`report`] — ASCII tables + JSON series for EXPERIMENTS.md.
+//! * [`report`] — ASCII tables + JSON series under `results/`.
 //!
 //! The `experiments` binary (`cargo run -p p2drm-sim --bin experiments`)
 //! regenerates every table/figure artifact.

@@ -1,5 +1,5 @@
-//! Experiment output: ASCII tables for the terminal and JSON series for
-//! EXPERIMENTS.md regeneration.
+//! Experiment output: ASCII tables for the terminal and JSON series
+//! under `results/`.
 
 use crate::json::{Json, ToJson};
 use std::fmt::Write as _;

@@ -14,7 +14,6 @@
 //!   replayed, a corrupt tail is detected and truncated;
 //! * [`typed`] — thin typed wrapper over any [`Kv`] using the canonical
 //!   codec;
-//! * [`SharedKv`] — `parking_lot`-locked handle for concurrent use;
 //! * [`ShardedKv`] — lock-sharded concurrent store: keys hash to one of N
 //!   independently locked shards, so writers on different shards never
 //!   contend (the license server's volatile hot-path substrate);
@@ -30,8 +29,7 @@
 //! | backend | concurrency | durability | use |
 //! |---|---|---|---|
 //! | [`MemKv`] | `&mut self` | none | unit tests, single-thread sims |
-//! | [`SharedKv`] | 1 `RwLock` | backend's | simple shared handle |
-//! | [`ShardedKv`] | N shards | none (over [`MemKv`]) | max-throughput volatile serving |
+//! | [`ShardedKv`] | N shards | none (over [`MemKv`]) | volatile serving, the mint's spent set |
 //! | [`WalKv`] | `&mut self` | WAL + torn-tail recovery | single-threaded durable state (devices) |
 //! | [`WalShardedKv`] | N shards | per-shard WAL, group commit | the durable license service |
 //!
@@ -63,9 +61,6 @@ pub use mem::MemKv;
 pub use sharded::ShardedKv;
 pub use walkv::{RecoveryReport, SyncPolicy, WalKv};
 pub use walsharded::{WalShardedConfig, WalShardedKv};
-
-use parking_lot::RwLock;
-use std::sync::Arc;
 
 /// Storage errors.
 #[derive(Debug)]
@@ -141,84 +136,14 @@ pub trait Kv {
     /// separate round trips). Every backend must state its own atomic
     /// implementation. Note the method takes `&mut self`, so within a
     /// single store instance the check-and-set is already exclusive;
-    /// *concurrent* callers must go through [`SharedKv`] or [`ShardedKv`],
-    /// which hold the write lock across the whole operation.
+    /// *concurrent* callers must go through a [`ConcurrentKv`] handle such
+    /// as [`ShardedKv`], which holds the shard's write lock across the
+    /// whole operation.
     fn insert_if_absent(&mut self, key: &[u8], value: &[u8]) -> Result<bool, StoreError>;
 
     /// Flushes buffered writes to the backing medium (no-op for memory).
     fn flush(&mut self) -> Result<(), StoreError> {
         Ok(())
-    }
-}
-
-/// A cheaply clonable, thread-safe handle around any [`Kv`].
-///
-/// `insert_if_absent` through this handle holds the write lock for the whole
-/// check-and-set, so concurrent redeem attempts serialize correctly
-/// (exercised by the double-spend concurrency tests in `p2drm-payment`).
-pub struct SharedKv<S: Kv> {
-    inner: Arc<RwLock<S>>,
-}
-
-impl<S: Kv> Clone for SharedKv<S> {
-    fn clone(&self) -> Self {
-        SharedKv {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<S: Kv> SharedKv<S> {
-    /// Wraps a store.
-    pub fn new(store: S) -> Self {
-        SharedKv {
-            inner: Arc::new(RwLock::new(store)),
-        }
-    }
-
-    /// Reads a value.
-    pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.inner.read().get(key)
-    }
-
-    /// Writes a value.
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.inner.write().put(key, value)
-    }
-
-    /// Deletes a key.
-    pub fn delete(&self, key: &[u8]) -> Result<bool, StoreError> {
-        self.inner.write().delete(key)
-    }
-
-    /// Atomic insert-if-absent under the write lock.
-    pub fn insert_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool, StoreError> {
-        self.inner.write().insert_if_absent(key, value)
-    }
-
-    /// Prefix scan.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.inner.read().scan_prefix(prefix)
-    }
-
-    /// Key count.
-    pub fn len(&self) -> usize {
-        self.inner.read().len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True when the key exists.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        self.inner.read().contains(key)
-    }
-
-    /// Runs `f` with mutable access to the store (single critical section).
-    pub fn with_mut<T>(&self, f: impl FnOnce(&mut S) -> T) -> T {
-        f(&mut self.inner.write())
     }
 }
 
@@ -268,70 +193,5 @@ pub trait ConcurrentKv {
     /// metric names — never key material or values.
     fn collect_metrics(&self, out: &mut p2drm_obs::SnapshotBuilder) {
         let _ = out;
-    }
-}
-
-impl<S: Kv> ConcurrentKv for SharedKv<S> {
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        SharedKv::get(self, key)
-    }
-    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        SharedKv::put(self, key, value)
-    }
-    fn delete(&self, key: &[u8]) -> Result<bool, StoreError> {
-        SharedKv::delete(self, key)
-    }
-    fn insert_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool, StoreError> {
-        SharedKv::insert_if_absent(self, key, value)
-    }
-    fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        SharedKv::scan_prefix(self, prefix)
-    }
-    fn len(&self) -> usize {
-        SharedKv::len(self)
-    }
-    fn contains(&self, key: &[u8]) -> bool {
-        SharedKv::contains(self, key)
-    }
-    fn flush(&self) -> Result<(), StoreError> {
-        self.with_mut(|s| s.flush())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shared_kv_basics() {
-        let kv = SharedKv::new(MemKv::new());
-        kv.put(b"a", b"1").unwrap();
-        assert_eq!(kv.get(b"a"), Some(b"1".to_vec()));
-        assert!(kv.insert_if_absent(b"b", b"2").unwrap());
-        assert!(!kv.insert_if_absent(b"b", b"2").unwrap());
-        assert_eq!(kv.len(), 2);
-        assert!(kv.delete(b"a").unwrap());
-        assert!(!kv.contains(b"a"));
-        kv.with_mut(|s| s.put(b"c", b"3").unwrap());
-        assert!(kv.contains(b"c"));
-    }
-
-    #[test]
-    fn shared_kv_concurrent_insert_if_absent_single_winner() {
-        // Exactly one of N racing redeemers may win — the paper's
-        // double-redemption guarantee under concurrency.
-        let kv = SharedKv::new(MemKv::new());
-        let handles: Vec<_> = (0..8u8)
-            .map(|i| {
-                let kv = kv.clone();
-                std::thread::spawn(move || kv.insert_if_absent(b"unique-license-id", &[i]).unwrap())
-            })
-            .collect();
-        let winners = handles
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .filter(|&won| won)
-            .count();
-        assert_eq!(winners, 1);
     }
 }

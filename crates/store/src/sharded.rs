@@ -2,10 +2,9 @@
 //!
 //! [`ShardedKv`] spreads keys across N independently locked shards by key
 //! hash, so concurrent writers touching different keys almost never
-//! contend — unlike [`crate::SharedKv`], whose single `RwLock` serializes
-//! every write. This is the substrate the refactored license server's
-//! mutable state (spent-ID set, license store, persisted catalog/CRL
-//! tables) sits on: one logical provider, N-way write parallelism, while
+//! contend. This is the substrate the license server's volatile state
+//! (spent-ID set, license store, persisted catalog/CRL tables) and the
+//! mint's spent-serial set sit on: N-way write parallelism, while
 //! `insert_if_absent` stays atomic because the whole check-and-set runs
 //! under one shard's write lock.
 //!

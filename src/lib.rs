@@ -30,8 +30,8 @@
 //! | [`crypto`] | `p2drm-crypto` | SHA-256, ChaCha20, HMAC, RSA, blind signatures, ElGamal |
 //! | [`pki`] | `p2drm-pki` | certificates, authorities, CRLs |
 //! | [`rel`] | `p2drm-rel` | rights expression language + enforcement |
-//! | [`store`] | `p2drm-store` | WAL-backed KV, crash recovery, `SharedKv`/`ShardedKv` concurrency |
-//! | [`payment`] | `p2drm-payment` | Chaum e-cash + identified baseline |
+//! | [`store`] | `p2drm-store` | WAL-backed KV, crash recovery, lock-sharded `ShardedKv` concurrency |
+//! | [`payment`] | `p2drm-payment` | Chaum e-cash with replay-aware deposits + identified baseline |
 //! | [`core`] | `p2drm-core` | **the paper's protocols**, concurrent provider + system bootstrap |
 //! | [`core::service`] | `p2drm-core` | **the wire API**: versioned envelopes, `ApiErrorCode`, `ProviderService`, `WireClient` |
 //! | [`net`] | `p2drm-net` | **the TCP layer**: framed `DrmServer` + worker pool, `TcpTransport`, server metrics |
@@ -63,8 +63,8 @@
 //! ```
 //!
 //! See `examples/` for full scenarios (music store, second-hand transfer
-//! market, abuse de-anonymization, authorized domains) and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the paper-to-code map.
+//! market, abuse de-anonymization, authorized domains) and `README.md`
+//! for the design of each layer.
 
 pub use p2drm_bignum as bignum;
 pub use p2drm_codec as codec;

@@ -1,15 +1,16 @@
 //! Tier-1 chaos drills: a small seeded fault-schedule set through the
-//! full recovery stack — wire client with retry/reconcile, durable
-//! provider, `FaultTransport` — including one provider kill/restart
-//! over a torn WAL shard. The wide sweep (≥20 schedules across 1–10%
-//! fault rates) lives in the release-mode `e15` experiment; this keeps
-//! a debug-buildable core of it in every test run.
+//! full recovery stack — wire client with retry and resend, durable
+//! provider, `FaultTransport` and `FaultKv` — including one provider
+//! kill/restart over a torn WAL shard. The wide sweep (≥20 schedules
+//! across 1–10% fault rates) lives in the release-mode `e15`
+//! experiment; this keeps a debug-buildable core of it in every test
+//! run.
 
 use p2drm::sim::chaos::{run_drill, ChaosConfig};
 
 #[test]
 fn seeded_drills_hold_invariants() {
-    for (seed, rate) in [(0xD1u64, 2), (0xD2, 10)] {
+    for (seed, rate) in [(0xD1u64, 2), (0xD2, 10), (0xD5, 30)] {
         let outcome = run_drill(&ChaosConfig {
             seed,
             ops: 6,

@@ -225,7 +225,12 @@ fn racing_revocation_vs_transfer_cannot_reissue_revoked_content() {
 fn racing_coin_double_spend_single_winner() {
     let mut rng = p2drm::crypto::rng::test_rng(0xACE3);
     let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-    let cid = sys.publish_content("Single", 100, b"x", &mut rng);
+    // One coin, four different purchases racing to spend it: an
+    // identical request would be a replay, so the racers differ in what
+    // they buy.
+    let cids: Vec<_> = (0..4)
+        .map(|i| sys.publish_content(&format!("Single {i}"), 100, b"x", &mut rng))
+        .collect();
 
     let mut alice = sys.register_user("alice", &mut rng).unwrap();
     sys.fund(&alice, 100);
@@ -236,19 +241,23 @@ fn racing_coin_double_spend_single_winner() {
         .withdraw(&sys.mint, &alice.account.clone(), 100, &mut rng)
         .unwrap();
     alice.wallet.take(100);
-    let req = PurchaseRequest {
-        content_id: cid,
-        pseudonym_cert: cert,
-        coin,
-        attribute_cert: None,
-    };
+    let reqs: Vec<_> = cids
+        .iter()
+        .map(|&content_id| PurchaseRequest {
+            content_id,
+            pseudonym_cert: cert.clone(),
+            coin: coin.clone(),
+            attribute_cert: None,
+        })
+        .collect();
 
     let epoch = sys.epoch();
     let provider = &sys.provider;
     let oks: usize = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let req = &req;
+        let handles: Vec<_> = reqs
+            .iter()
+            .enumerate()
+            .map(|(i, req)| {
                 scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(0xC0FE + i as u64);
                     provider.handle_purchase(req, epoch, &mut rng).is_ok()

@@ -165,8 +165,15 @@ fn coins_are_single_use_across_the_whole_system() {
     };
     let epoch = sys.epoch();
     assert!(sys.provider.handle_purchase(&req, epoch, &mut rng).is_ok());
-    // Same coin again — the mint's spent store refuses.
-    let res = sys.provider.handle_purchase(&req, epoch, &mut rng);
+    // Same coin for another purchase — the mint's spent store refuses.
+    // (Resending the identical request is a replay, answered with the
+    // license already bought.)
+    let other = sys.publish_content("Coin Test 2", 100, b"y", &mut rng);
+    let reuse = p2drm::core::protocol::messages::PurchaseRequest {
+        content_id: other,
+        ..req.clone()
+    };
+    let res = sys.provider.handle_purchase(&reuse, epoch, &mut rng);
     assert!(matches!(
         res,
         Err(CoreError::Payment(

@@ -371,7 +371,7 @@ fn graceful_shutdown_completes_in_flight_requests() {
 
 /// A service reply over the frame cap is never half-sent: nothing hits
 /// the wire, the connection closes — an ambiguous outcome the client
-/// must reconcile, since the request *was* dispatched — and the server
+/// settles by resending, since the request *was* dispatched — and the server
 /// counts it for operators.
 #[test]
 fn oversized_reply_closes_connection_and_is_counted() {

@@ -6,18 +6,38 @@
 use p2drm::core::entities::provider::MemBackend;
 use p2drm::core::protocol::messages::{attribute_auth_bytes, AttributeIssueRequest, LicenseStatus};
 use p2drm::core::service::{
-    ApiErrorCode, Loopback, OpCode, Transport, TransportError, WireClient, WireError, WireRequest,
-    WireResponse,
+    ApiErrorCode, Loopback, OpCode, ResponseEnvelope, Transport, TransportError, WireClient,
+    WireError, WireRequest, WireResponse,
 };
 use p2drm::core::system::{System, SystemConfig};
+use p2drm::core::License;
 use p2drm::crypto::rng::test_rng;
+use std::sync::{Arc, Mutex};
 
 /// A transport that delivers every request but "loses" the replies of
 /// one op (typed `Broken` transport error) — the ambiguous-outcome
-/// simulator: the server committed, the client never learned.
+/// simulator: the server committed, the client never learned. The lost
+/// replies are kept so a test can compare them with a resend's answer.
 struct LoseRepliesOf<'s> {
     inner: Loopback<'s, MemBackend>,
     lost_op: OpCode,
+    lost: LostReplies,
+}
+
+type LostReplies = Arc<Mutex<Vec<Vec<u8>>>>;
+
+/// The license carried by the one reply lost so far.
+fn lost_license(lost: &LostReplies) -> License {
+    let lost = lost.lock().expect("unpoisoned");
+    assert_eq!(lost.len(), 1, "exactly one reply was lost");
+    match ResponseEnvelope::from_bytes(&lost[0])
+        .expect("lost reply decodes")
+        .body
+    {
+        WireResponse::Purchase(r) => r.license,
+        WireResponse::Transfer(r) => r.license,
+        other => panic!("lost reply carried no license: {}", other.label()),
+    }
 }
 
 impl Transport for LoseRepliesOf<'_> {
@@ -30,9 +50,12 @@ impl Transport for LoseRepliesOf<'_> {
         deadline: Option<std::time::Instant>,
     ) -> Result<Option<(u64, Vec<u8>)>, TransportError> {
         match self.inner.complete(deadline)? {
-            Some((_, reply)) if reply.get(1) == Some(&self.lost_op.byte()) => Err(
-                TransportError::Broken("reply lost in transit (simulated)".to_string()),
-            ),
+            Some((_, reply)) if reply.get(1) == Some(&self.lost_op.byte()) => {
+                self.lost.lock().expect("unpoisoned").push(reply);
+                Err(TransportError::Broken(
+                    "reply lost in transit (simulated)".to_string(),
+                ))
+            }
             other => Ok(other),
         }
     }
@@ -250,7 +273,7 @@ fn wire_crl_sync_propagates_revocation() {
 }
 
 #[test]
-fn ambiguous_purchase_parks_coin_instead_of_losing_it() {
+fn purchase_resent_after_a_lost_reply_returns_the_identical_license() {
     let mut rng = test_rng(0x317E07);
     let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
     let cid = sys.publish_content("Track", 100, b"X", &mut rng);
@@ -260,33 +283,47 @@ fn ambiguous_purchase_parks_coin_instead_of_losing_it() {
         .expect("pseudonym");
 
     let service = sys.wire_service(0x10_57);
+    let lost = LostReplies::default();
     let mut client = WireClient::new(LoseRepliesOf {
         inner: Loopback::new(&service),
         lost_op: OpCode::Purchase,
+        lost: lost.clone(),
     });
     client.set_epoch(sys.epoch());
-
     let err = client
         .purchase(&mut alice, &sys.mint, cid, &mut rng)
         .expect_err("lost reply must surface as an error");
     assert!(matches!(err, WireError::Transport(_)), "got {err}");
-
-    // The server committed: coin deposited, license issued (and lost
-    // with the reply). Re-spending the coin would double-spend, so it
-    // must not return to the spendable pool — but it must not vanish
-    // either: it is parked for reconciliation.
+    // The server committed: coin deposited, license issued and lost
+    // with the reply.
     assert_eq!(sys.mint.deposited_total(), 100);
     assert_eq!(sys.provider.license_count(), 1);
     assert!(alice.licenses().is_empty());
-    assert_eq!(alice.wallet.pending().len(), 1, "coin parked, not lost");
-    assert_eq!(alice.wallet.balance(), 0, "parked coin is not spendable");
 
-    // Reconciliation against the mint settles it: the serial was
-    // deposited, so the coin is discarded, not restored.
-    assert_eq!(alice.wallet.reconcile_pending(&sys.mint), (0, 1));
-    assert!(alice.wallet.pending().is_empty());
+    // Buying the item again resends the same request: the provider
+    // answers with the license it issued, byte for byte, and takes no
+    // second payment.
+    let mut client = WireClient::new(Loopback::new(&service));
+    client.set_epoch(sys.epoch());
+    let license = client
+        .purchase(&mut alice, &sys.mint, cid, &mut rng)
+        .expect("resent purchase is answered");
+    assert_eq!(
+        p2drm::codec::to_bytes(&license),
+        p2drm::codec::to_bytes(&lost_license(&lost))
+    );
+    assert_eq!(sys.mint.deposited_total(), 100, "paid once");
+    assert_eq!(sys.provider.license_count(), 1);
+    assert_eq!(alice.licenses().len(), 1);
+    assert_eq!(
+        alice.wallet.balance() + sys.mint.deposited_total(),
+        500 - sys.mint.balance(&alice.account)
+    );
 
     // The other ambiguous shape: the request never reaches the server.
+    // The resend is then the first delivery, and it pays exactly once.
+    sys.ensure_pseudonym(&mut alice, &mut rng)
+        .expect("pseudonym");
     let mut client = WireClient::new(BlackholeOp {
         inner: Loopback::new(&service),
         op: OpCode::Purchase,
@@ -295,24 +332,21 @@ fn ambiguous_purchase_parks_coin_instead_of_losing_it() {
     client
         .purchase(&mut alice, &sys.mint, cid, &mut rng)
         .expect_err("blackholed request must surface as an error");
-    assert_eq!(alice.wallet.pending().len(), 1);
     assert_eq!(sys.mint.deposited_total(), 100, "nothing new deposited");
-    // This time the mint never saw the serial: the coin comes back.
-    assert_eq!(alice.wallet.reconcile_pending(&sys.mint), (1, 0));
-    assert_eq!(alice.wallet.balance(), 100, "undeposited coin restored");
-
-    // And the restored coin completes a real purchase end-to-end.
     let mut client = WireClient::new(Loopback::new(&service));
     client.set_epoch(sys.epoch());
-    let license = client
+    let second = client
         .purchase(&mut alice, &sys.mint, cid, &mut rng)
-        .expect("restored coin spends");
-    assert!(license.verify(sys.provider.public_key()).is_ok());
+        .expect("resent purchase completes");
+    assert!(second.verify(sys.provider.public_key()).is_ok());
+    assert_ne!(second.id(), license.id());
     assert_eq!(sys.mint.deposited_total(), 200);
+    assert_eq!(sys.provider.license_count(), 2);
+    assert_eq!(alice.licenses().len(), 2);
 }
 
 #[test]
-fn ambiguous_transfer_reconciles_via_license_status() {
+fn transfer_resent_after_a_lost_reply_returns_the_identical_license() {
     let mut rng = test_rng(0x317E08);
     let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
     let cid = sys.publish_content("Track", 100, b"X", &mut rng);
@@ -324,41 +358,36 @@ fn ambiguous_transfer_reconciles_via_license_status() {
     let lid = license.id();
 
     let service = sys.wire_service(0x10_58);
+    let lost = LostReplies::default();
     let mut client = WireClient::new(LoseRepliesOf {
         inner: Loopback::new(&service),
         lost_op: OpCode::Transfer,
+        lost: lost.clone(),
     });
-
-    // Before the transfer, the status query sees the active license.
-    assert!(matches!(
-        client.license_status(lid).expect("status query"),
-        LicenseStatus::Active { .. }
-    ));
-
     let err = client
         .transfer(&mut alice, &mut bob, lid, &mut rng)
         .expect_err("lost reply must surface as an error");
     assert!(matches!(err, WireError::Transport(_)), "got {err}");
-
-    // Divergence: the provider committed (old id retired, successor
-    // issued) while the sender still holds the stale license.
-    assert_eq!(alice.licenses().len(), 1, "sender state diverged");
-    assert!(bob.licenses().is_empty(), "recipient reply was lost");
-
-    // Reconciliation: the authoritative status query repairs the
-    // sender's view.
     assert_eq!(
         client.license_status(lid).expect("status query"),
         LicenseStatus::Transferred
     );
-    assert!(client
-        .reconcile_transfer(&mut alice, lid)
-        .expect("reconcile"));
-    assert!(alice.licenses().is_empty(), "stale license dropped");
-    // Reconciling an already-consistent view is a no-op.
-    assert!(!client
-        .reconcile_transfer(&mut alice, lid)
-        .expect("idempotent reconcile"));
+    assert_eq!(alice.licenses().len(), 1, "sender keeps it until answered");
+    assert!(bob.licenses().is_empty(), "recipient reply was lost");
+
+    // Resending completes the hand-over with the successor the provider
+    // already issued.
+    let mut client = WireClient::new(Loopback::new(&service));
+    let successor = client
+        .transfer(&mut alice, &mut bob, lid, &mut rng)
+        .expect("resent transfer is answered");
+    assert_eq!(
+        p2drm::codec::to_bytes(&successor),
+        p2drm::codec::to_bytes(&lost_license(&lost))
+    );
+    assert!(alice.licenses().is_empty());
+    assert_eq!(bob.licenses().len(), 1);
+    assert_eq!(sys.provider.license_count(), 2, "original + one successor");
 }
 
 #[test]
@@ -565,11 +594,11 @@ fn pipelined_purchases_settle_out_of_order_replies() {
         other => panic!("unknown item must fail typed, got {other:?}"),
     }
 
-    // Exactly the two priced coins were deposited; nothing parked,
+    // Exactly the two priced coins were deposited; nothing unsettled,
     // nothing stranded in the wallet (the ghost slot never withdrew).
     assert_eq!(sys.mint.deposited_total(), 200);
     assert_eq!(alice.wallet.balance(), 0);
-    assert!(alice.wallet.pending().is_empty());
+    assert!(alice.unsettled().is_empty());
     assert_eq!(alice.licenses().len(), 2);
     assert_eq!(sys.provider.license_count(), 2);
 }

@@ -256,11 +256,11 @@ fn empty_and_garbage_inputs_answer_cleanly() {
 
 /// Coin conservation under transport chaos: whatever seeded fault
 /// schedule the wire suffers — dropped requests, dropped/torn/duplicated
-/// replies, resets, busy storms — the park/reconcile/deposit cycle never
+/// replies, resets, busy storms — resending unsettled purchases never
 /// loses a coin and never double-spends one. Every withdrawn coin ends
 /// the run as exactly one of {spendable in the wallet, deposited at the
-/// mint}, the parked pool drains once reconciled, and every held license
-/// has a distinct id.
+/// mint}, no purchase stays unsettled once resent, every deposit is a
+/// license the client holds, and every held license has a distinct id.
 mod coin_conservation {
     use super::*;
     use p2drm::core::retry::{CircuitBreaker, RetryBudget, RetryPolicy};
@@ -345,19 +345,22 @@ mod coin_conservation {
                 if let Ok(license) = client.purchase(&mut user, &mint, bed.cid, &mut rng) {
                     licenses.push(license.id());
                 }
-                // Interleave a mid-run reconcile with the parked pool
-                // possibly non-empty, as a recovering client would.
+                // Interleave a mid-run resend with purchases possibly
+                // unsettled, as a recovering client would.
                 if op == ops / 2 {
-                    user.wallet.reconcile_pending(&mint);
+                    licenses.extend(client.settle(&mut user).into_iter().flatten().map(|l| l.id()));
                 }
             }
-            user.wallet.reconcile_pending(&mint);
+            // The faults end; the rest is resent over a clean wire.
+            let mut clean = WireClient::new(Loopback::new(&service));
+            clean.set_epoch(sys.epoch());
+            licenses.extend(clean.settle(&mut user).into_iter().flatten().map(|l| l.id()));
 
             let withdrawn = mint.withdrawal_transcript().len() - withdrawn_before;
             let deposited = mint.spent_count() - spent_before;
             prop_assert!(
-                user.wallet.pending().is_empty(),
-                "parked pool must drain after reconciliation"
+                user.unsettled().is_empty(),
+                "every purchase settles once resent"
             );
             prop_assert_eq!(
                 withdrawn,
@@ -368,7 +371,7 @@ mod coin_conservation {
             let distinct: BTreeSet<_> = licenses.iter().copied().collect();
             prop_assert_eq!(distinct.len(), licenses.len(), "duplicate license ids");
             prop_assert_eq!(user.licenses().len(), licenses.len());
-            prop_assert!(deposited >= licenses.len(), "every license was paid for");
+            prop_assert_eq!(deposited, licenses.len(), "every deposit is a held license");
         }
     }
 }
