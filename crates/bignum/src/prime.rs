@@ -1,8 +1,7 @@
 //! Miller–Rabin primality testing and random prime generation.
 //!
 //! Prime generation drives RSA key generation in `p2drm-crypto`; the tests
-//! there use 256–512-bit keys so the suite stays fast, while benches sweep
-//! real-world sizes.
+//! there use 256–512-bit keys so the suite stays fast.
 
 use crate::mont::Mont;
 use crate::rng::BigRng;

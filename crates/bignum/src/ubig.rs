@@ -368,8 +368,8 @@ impl UBig {
         UBig::from_limbs(out)
     }
 
-    // Karatsuba pays off well above typical RSA sizes; threshold chosen
-    // by the e9 ablation bench (32 limbs = 2048 bits).
+    // Karatsuba pays off well above typical RSA sizes (32 limbs = 2048
+    // bits).
     const KARATSUBA_THRESHOLD: usize = 32;
 
     /// Schoolbook product with a Karatsuba fast path for large operands.

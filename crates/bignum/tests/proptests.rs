@@ -200,9 +200,7 @@ proptest! {
         pairs in base_exp_pairs(1, 20),
         n in odd_modulus(),
     ) {
-        // The same product [`multiexp::multi_pow`] computes under the
-        // process-wide Reference kernel knob, built here explicitly so
-        // the property holds regardless of the global kernel state.
+        // The product as iterated pre-optimization exponentiations.
         let mont = Mont::new(&n).unwrap();
         let (bases, exps) = to_forms(&mont, &pairs);
         let mut reference = mont.one_form();

@@ -95,22 +95,8 @@ pub struct ProviderConfig {
     /// Entry bound of the signature-verification cache consulted by
     /// [`ContentProvider::verify_pseudonym`] and the attribute-credential
     /// check; `0` disables caching (every presentation pays the full RSA
-    /// verify — the E11 ablation configuration).
+    /// verify).
     pub verify_cache_capacity: usize,
-    /// Batch size of the verification valve
-    /// ([`crate::valve::VerifyValve`]): cache-missing pseudonym
-    /// verifications arriving concurrently stage in a bounded queue and
-    /// are checked as one batch of up to this many items. `0` disables
-    /// the valve (every miss verifies individually, the pre-batching
-    /// behaviour); values of `1` are treated as `2`. The valve only pays
-    /// off when several worker threads verify concurrently — leave it off
-    /// for single-threaded callers, which would otherwise idle out the
-    /// deadline on every cache miss.
-    pub valve_batch: usize,
-    /// How long the valve's first-in thread waits (in microseconds) for
-    /// the batch to fill before flushing whatever has staged. Bounds the
-    /// added latency of an enabled valve.
-    pub valve_deadline_us: u64,
     /// Whether this endpoint answers the wire `MetricsDump` op
     /// (`opcode 9`). Off by default: the snapshot carries only static
     /// metric names, counts and durations — never pseudonyms, card ids,
@@ -120,8 +106,7 @@ pub struct ProviderConfig {
 }
 
 impl ProviderConfig {
-    /// Small keys, generous windows — unit-test defaults. The valve is
-    /// off; concurrent-throughput runs opt in explicitly.
+    /// Small keys, generous windows — unit-test defaults.
     pub fn fast_test() -> Self {
         ProviderConfig {
             key_bits: 512,
@@ -129,8 +114,6 @@ impl ProviderConfig {
             validity: p2drm_pki::cert::Validity::new(0, u64::MAX / 2),
             store_shards: 8,
             verify_cache_capacity: 4096,
-            valve_batch: 0,
-            valve_deadline_us: 50,
             metrics_dump: false,
         }
     }
@@ -181,10 +164,6 @@ pub struct ProviderCore {
     /// Interior-mutable and sharded, so it lives in the otherwise
     /// immutable core and is consulted lock-free-ish from every thread.
     vcache: p2drm_pki::VerifyCache,
-    /// Batching valve in front of the RA-signature check (behind the
-    /// cache: only misses stage here). `None` when
-    /// [`ProviderConfig::valve_batch`] is 0.
-    valve: Option<crate::valve::VerifyValve>,
 }
 
 /// CRL state: both revocation lists plus the sequence counters and
@@ -234,28 +213,13 @@ pub struct ProviderState<B: ConcurrentKv> {
 }
 
 /// The content provider, generic over its [`ConcurrentKv`] store backend.
-/// Outcome of the first half of a split pseudonym verification: either
-/// fully settled (cache hit, valve disabled, or structural failure already
-/// returned as an error) or staged in the valve awaiting a batched
-/// verdict.
-enum PseudonymGate {
-    /// Signature already settled as valid — nothing left to wait for.
-    Clear,
-    /// Staged in the valve; redeem the ticket and, on success, insert
-    /// `key` into the verification cache.
-    Staged {
-        ticket: crate::valve::VerdictTicket,
-        key: [u8; 32],
-    },
-}
-
 pub struct ContentProvider<B: ConcurrentKv = MemBackend> {
     core: ProviderCore,
     state: ProviderState<B>,
 }
 
-/// One registry snapshot carries the provider's verify-cache, valve and
-/// store metrics together; the wire service registers the provider as a
+/// One registry snapshot carries the provider's verify-cache and store
+/// metrics together; the wire service registers the provider as a
 /// weak source at construction. Names are static, values are counts and
 /// durations — no pseudonyms, card ids, license ids or coin serials.
 impl<B: ConcurrentKv> p2drm_obs::MetricSource for ContentProvider<B> {
@@ -265,15 +229,6 @@ impl<B: ConcurrentKv> p2drm_obs::MetricSource for ContentProvider<B> {
         out.counter("vcache_misses", c.misses);
         out.counter("vcache_insertions", c.insertions);
         out.counter("vcache_evictions", c.evictions);
-        if let Some(valve) = &self.core.valve {
-            let v = valve.counters();
-            out.counter("valve_batched", v.batched);
-            out.counter("valve_timer_flushes", v.timer_flushes);
-            out.counter("valve_size_flushes", v.size_flushes);
-            out.counter("valve_fallback_splits", v.fallback_splits);
-            out.histogram("valve_wait_ns", &valve.wait_hist().snapshot());
-            out.histogram("valve_fill_ns", &valve.fill_hist().snapshot());
-        }
         self.state.store.collect_metrics(out);
     }
 }
@@ -451,14 +406,6 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             core: ProviderCore {
                 ra_blind_key_fp: ra_blind_key.fingerprint(),
                 vcache: p2drm_pki::VerifyCache::new(config.verify_cache_capacity),
-                valve: match config.valve_batch {
-                    0 => None,
-                    b => Some(crate::valve::VerifyValve::new(
-                        ra_blind_key.clone(),
-                        b,
-                        std::time::Duration::from_micros(config.valve_deadline_us),
-                    )),
-                },
                 license_id_key: p2drm_crypto::kdf::derive_key32(
                     b"p2drm-license-id",
                     &keys.private_exponent().to_bytes_be(),
@@ -764,22 +711,6 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         cert: &PseudonymCertificate,
         now_epoch: u32,
     ) -> Result<(), CoreError> {
-        let gate = self.begin_verify_pseudonym(cert, now_epoch)?;
-        self.finish_verify_pseudonym(gate)
-    }
-
-    /// First half of [`Self::verify_pseudonym`]: runs the structural
-    /// checks (epoch window, CRL) and either settles the signature from
-    /// the verification cache or — with the valve enabled — stages it in
-    /// the valve's batch queue and returns immediately. The caller does
-    /// independent work, then settles the verdict with
-    /// [`Self::finish_verify_pseudonym`]; the overlap is what lets the
-    /// valve's batches fill without anyone blocking on them.
-    fn begin_verify_pseudonym(
-        &self,
-        cert: &PseudonymCertificate,
-        now_epoch: u32,
-    ) -> Result<PseudonymGate, CoreError> {
         // Cheap structural checks first, unconditionally.
         if cert.body.epoch > now_epoch {
             return Err(CoreError::BadPseudonym("epoch in the future"));
@@ -801,52 +732,12 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             &self.core.ra_blind_key_fp,
             &now_epoch.to_le_bytes(),
         ]);
-        // With the valve enabled, cache misses stage in its queue and are
-        // verified as one batch with whatever the other worker threads
-        // are presenting; successes land in the cache either way.
-        if let Some(valve) = &self.core.valve {
-            if self.core.vcache.check(&key) {
-                p2drm_obs::flag("vcache_hit");
-                return Ok(PseudonymGate::Clear);
-            }
+        self.core.vcache.verify_with(key, || {
+            // Only misses reach this closure; hits carry no marker.
             p2drm_obs::flag("vcache_miss");
-            let ticket = valve.stage(cert.body.signing_bytes(), cert.signature.clone());
-            Ok(PseudonymGate::Staged { ticket, key })
-        } else {
-            self.core
-                .vcache
-                .verify_with(key, || {
-                    // Only misses reach this closure; hits return above
-                    // it without a marker.
-                    p2drm_obs::flag("vcache_miss");
-                    cert.verify(&self.core.ra_blind_key)
-                        .map_err(|_| CoreError::BadPseudonym("RA signature invalid"))
-                })
-                .map(|_| PseudonymGate::Clear)
-        }
-    }
-
-    /// Second half of [`Self::begin_verify_pseudonym`]: settles a staged
-    /// valve verdict (blocking at most the valve deadline) and caches a
-    /// success. A no-op for gates already cleared.
-    fn finish_verify_pseudonym(&self, gate: PseudonymGate) -> Result<(), CoreError> {
-        match gate {
-            PseudonymGate::Clear => Ok(()),
-            PseudonymGate::Staged { ticket, key } => {
-                let valve = self
-                    .core
-                    .valve
-                    .as_ref()
-                    .expect("staged gate implies an enabled valve");
-                let _stage = p2drm_obs::stage("valve_wait");
-                if valve.wait(ticket) {
-                    self.core.vcache.insert(key);
-                    Ok(())
-                } else {
-                    Err(CoreError::BadPseudonym("RA signature invalid"))
-                }
-            }
-        }
+            cert.verify(&self.core.ra_blind_key)
+                .map_err(|_| CoreError::BadPseudonym("RA signature invalid"))
+        })
     }
 
     /// The active configuration.
@@ -854,21 +745,9 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         &self.core.config
     }
 
-    /// Hit/miss counters of the provider's verification cache (reported
-    /// by the sim and experiment E11).
+    /// Hit/miss counters of the provider's verification cache.
     pub fn verify_cache_counters(&self) -> p2drm_pki::CacheCounters {
         self.core.vcache.counters()
-    }
-
-    /// Counters of the verification valve (all zero when the valve is
-    /// disabled), reported beside [`Self::verify_cache_counters`] by the
-    /// e12 experiment.
-    pub fn valve_counters(&self) -> crate::valve::ValveCounters {
-        self.core
-            .valve
-            .as_ref()
-            .map(crate::valve::VerifyValve::counters)
-            .unwrap_or_default()
     }
 
     /// Anonymous purchase: verify pseudonym + coin, deposit, issue license.
@@ -928,40 +807,29 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         digest: &[u8; 32],
         now_epoch: u32,
     ) -> Result<(), CoreError> {
-        // Stage the pseudonym check first, then do the independent prep
-        // work (catalog lookup, price + attribute checks, coin signature)
-        // while a valve batch fills under other workers' requests. Only
-        // the pure parts run before the verdict; the deposit — the first
-        // side effect — stays strictly after it. The gate is settled
-        // before the prep result is propagated so a bad pseudonym still
-        // takes precedence over, say, a bad coin, exactly as when the
-        // checks ran sequentially.
-        let gate = self.begin_verify_pseudonym(&req.pseudonym_cert, now_epoch)?;
-        let prep = (|| -> Result<(), CoreError> {
-            let (price, required) = {
-                let catalog = self.state.catalog.read();
-                let item = catalog
-                    .get(&req.content_id)
-                    .ok_or(CoreError::UnknownContent(req.content_id))?;
-                (item.meta.price, item.meta.required_attribute.clone())
-            };
-            if req.coin.denomination < price {
-                return Err(CoreError::Payment(
-                    p2drm_payment::PaymentError::InsufficientFunds {
-                        balance: req.coin.denomination,
-                        requested: price,
-                    },
-                ));
-            }
-            self.check_attribute_requirement(req, required.as_deref(), now_epoch)?;
-            self.state.mint.check_coin(&req.coin)?;
-            Ok(())
-        })();
-        self.finish_verify_pseudonym(gate)?;
-        prep?;
+        // A bad pseudonym takes precedence over, say, a bad coin; the
+        // deposit — the first side effect — comes after every check.
+        self.verify_pseudonym(&req.pseudonym_cert, now_epoch)?;
+        let (price, required) = {
+            let catalog = self.state.catalog.read();
+            let item = catalog
+                .get(&req.content_id)
+                .ok_or(CoreError::UnknownContent(req.content_id))?;
+            (item.meta.price, item.meta.required_attribute.clone())
+        };
+        if req.coin.denomination < price {
+            return Err(CoreError::Payment(
+                p2drm_payment::PaymentError::InsufficientFunds {
+                    balance: req.coin.denomination,
+                    requested: price,
+                },
+            ));
+        }
+        self.check_attribute_requirement(req, required.as_deref(), now_epoch)?;
+        self.state.mint.check_coin(&req.coin)?;
         // Deposit is the last fallible external step before issuance; a
         // double-spent coin is rejected here by the mint's spent store
-        // (its signature was already checked in the prep block above).
+        // (its signature was already checked above).
         let _stage = p2drm_obs::stage("mint_deposit");
         self.state.mint.deposit_prechecked_for(&req.coin, digest)?;
         Ok(())
@@ -1366,7 +1234,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         self.state.transfer_log.lock().clone()
     }
 
-    /// Direct backend access (storage metrics in E6, maintenance such as
+    /// Direct backend access (storage metrics in E2, maintenance such as
     /// compaction via [`ShardedKv::for_each_shard`] or
     /// [`WalShardedKv::compact_all`]).
     pub fn store(&self) -> &B {

@@ -1,10 +1,10 @@
 //! The tamper-resistant smart card.
 //!
-//! Substitution note (DESIGN.md §2): tamper resistance is modelled by
-//! encapsulation — private keys are fields no method ever returns. The
-//! card exposes exactly the oracle interface the paper assumes: generate a
-//! pseudonym (with escrow), sign challenges, and unwrap content keys
-//! *re-sealed to a device key* so raw keys never cross the card boundary.
+//! Substitution note: tamper resistance is modelled by encapsulation —
+//! private keys are fields no method ever returns. The card exposes
+//! exactly the oracle interface the paper assumes: generate a pseudonym
+//! (with escrow), sign challenges, and unwrap content keys *re-sealed to
+//! a device key* so raw keys never cross the card boundary.
 
 use crate::entities::ttp::Ttp;
 use crate::ids::{CardId, UserId};
@@ -15,7 +15,7 @@ use p2drm_crypto::rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};
 use p2drm_pki::cert::{Certificate, KeyId, PseudonymCertBody};
 use std::collections::HashMap;
 
-/// Card resource limits (the paper discusses card memory pressure; E6
+/// Card resource limits (the paper discusses card memory pressure; E2
 /// measures bytes-per-pseudonym against this budget).
 #[derive(Clone, Copy, Debug)]
 pub struct CardBudget {
@@ -95,7 +95,7 @@ impl SmartCard {
     }
 
     /// Approximate nonvolatile memory used by key material, in bytes
-    /// (modulus + private exponent per key; the E6 metric).
+    /// (modulus + private exponent per key; the E2 metric).
     pub fn memory_bytes(&self) -> usize {
         let per_key = 2 * (self.key_bits / 8);
         per_key * (self.pseudonyms.len() + 1)

@@ -52,7 +52,6 @@ pub mod protocol;
 pub mod retry;
 pub mod service;
 pub mod system;
-pub mod valve;
 
 pub use audit::{Party, Transcript};
 pub use ids::{CardId, ContentId, DeviceId, LicenseId, UserId};

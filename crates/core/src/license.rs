@@ -86,7 +86,7 @@ impl License {
         self.body.license_id
     }
 
-    /// Canonical encoded size in bytes (storage/wire cost, experiment E6).
+    /// Canonical encoded size in bytes (storage/wire cost, experiment E2).
     pub fn encoded_len(&self) -> usize {
         p2drm_codec::to_bytes(self).len()
     }

@@ -64,9 +64,8 @@ pub fn obtain_pseudonym<R: CryptoRng + ?Sized>(
 
 /// Cut-and-choose variant of blind issuance: the card prepares `k`
 /// candidates; the RA audits `k-1` of them before signing the survivor,
-/// bounding a cheating card's success probability at `1/k` (experiment E9
-/// benches the cost sweep). The opened candidates' keys are discarded from
-/// the card (they were revealed).
+/// bounding a cheating card's success probability at `1/k`. The opened
+/// candidates' keys are discarded from the card (they were revealed).
 #[allow(clippy::too_many_arguments)]
 pub fn obtain_pseudonym_cut_and_choose<R: CryptoRng + ?Sized>(
     user: &mut UserAgent,

@@ -40,8 +40,7 @@
 //! indices are isolated; size-1 groups are verified individually, so the
 //! reported indices are exact and every valid signature in the batch is
 //! still accepted. The [`BatchReport`] carries the rejected indices and the
-//! number of split re-checks, which the provider-side valve surfaces as a
-//! counter.
+//! number of split re-checks, which the global registry counts.
 
 use crate::rng::CryptoRng;
 use crate::rsa::{emsa_pkcs1_v15, fdh, RsaPublicKey, RsaSignature};
@@ -155,7 +154,7 @@ impl rand::RngCore for ZeroRng {
 
 /// Process-wide batch-verification counters in the global
 /// [`p2drm_obs`] registry. Batch call sites (certificate chains, CRL
-/// sync, the provider valve) don't thread a registry handle, so the
+/// sync) don't thread a registry handle, so the
 /// fold is global: every [`BatchReport`] also lands here. Names are
 /// static and values are counts — nothing about *whose* signatures
 /// were checked is recorded.

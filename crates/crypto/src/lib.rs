@@ -45,15 +45,10 @@ pub mod rsa;
 pub mod sha256;
 
 /// The underlying big-integer crate, re-exported so downstream crates
-/// (benches, the experiment driver) can reach the limb-level machinery —
-/// Montgomery contexts, multi-exponentiation, the kernel A/B knob —
-/// without taking a direct `p2drm-bignum` dependency edge.
+/// can reach the limb-level machinery — Montgomery contexts and
+/// multi-exponentiation — without taking a direct `p2drm-bignum`
+/// dependency edge.
 pub use p2drm_bignum as bignum;
-
-/// Process-wide arithmetic-kernel selector for honest A/B experiment runs,
-/// re-exported from [`bignum`] so experiment drivers need only this
-/// crate. See [`Kernel`] for the available kernels.
-pub use p2drm_bignum::mont::{kernel, set_kernel, Kernel};
 
 /// Errors shared by the crypto primitives.
 #[derive(Debug, Clone, PartialEq, Eq)]

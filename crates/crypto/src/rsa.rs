@@ -86,11 +86,6 @@ impl RsaPublicKey {
         }
     }
 
-    /// Exponentiation with an arbitrary exponent in this key's ring.
-    pub(crate) fn mont_pow(&self, x: &UBig, exp: &UBig) -> UBig {
-        self.mont.pow(x, exp)
-    }
-
     /// The key's Montgomery context (shared with the batch verifier so
     /// batched checks stay in this ring without rebuilding the context).
     pub(crate) fn mont(&self) -> &Mont {
@@ -229,7 +224,7 @@ pub struct RsaKeyPair {
 impl RsaKeyPair {
     /// Generates a fresh key with modulus of `bits` bits (>= 128).
     ///
-    /// Unit tests use 512; benches sweep 512/1024/2048.
+    /// Unit tests use 512; deployments 1024 or more.
     pub fn generate<R: CryptoRng + ?Sized>(bits: usize, rng: &mut R) -> Self {
         assert!(bits >= 128, "modulus below 128 bits is unusable");
         let e = UBig::from_u64(PUBLIC_EXPONENT);
@@ -277,15 +272,10 @@ impl RsaKeyPair {
         &self.public
     }
 
-    /// The private exponent `d` (exposed for key-escrow tests and the
-    /// non-CRT ablation bench; handle with care).
+    /// The private exponent `d` (exposed for key-escrow tests and for
+    /// deriving per-key secrets; handle with care).
     pub fn private_exponent(&self) -> &UBig {
         &self.d
-    }
-
-    /// Raw private operation without CRT (ablation baseline for benches).
-    pub fn raw_private_nocrt(&self, x: &UBig) -> UBig {
-        self.public.mont_pow(x, &self.d)
     }
 
     /// Raw RSA private operation `x^d mod n` via the CRT.
@@ -607,7 +597,10 @@ mod tests {
     fn nocrt_matches_crt() {
         let kp = keypair();
         let x = UBig::from_u64(9_876_543_210);
-        assert_eq!(kp.raw_private(&x), kp.raw_private_nocrt(&x));
+        let nocrt = x
+            .pow_mod(kp.private_exponent(), kp.public().modulus())
+            .unwrap();
+        assert_eq!(kp.raw_private(&x), nocrt);
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! - **Metrics registry** ([`registry`]): named lock-free counters,
 //!   gauges and log-bucketed histograms, plus weakly-registered
 //!   [`MetricSource`]s folding the per-subsystem counter structs
-//!   (server, valve, verify cache, batch verifier, store) into one
+//!   (server, verify cache, batch verifier, store) into one
 //!   [`Snapshot`] with stable sorted text and JSON expositions.
 //! - **Timing** ([`timer`]): [`Timer`] and the drop-guard
 //!   [`ScopeTimer`], gated on one relaxed flag so a disabled registry
 //!   costs a branch, not a clock read.
 //! - **Tracing** ([`trace`]): per-request spans keyed by the wire
-//!   correlation id, carried through valve staging, cache lookups,
+//!   correlation id, carried through cache lookups,
 //!   mint deposit and store commit via a thread-local slot, collected
 //!   into a bounded ring with slow-request exemplar capture.
 //!

@@ -229,7 +229,7 @@ impl Snapshot {
     /// ```text
     /// net_accepted counter 4
     /// net_dispatch_ns histogram count=4 mean_ns=812 p50_ns=768 p90_ns=1536 p99_ns=1536 min_ns=700 max_ns=1600
-    /// valve_inflight gauge 0
+    /// net_idle_connections gauge 0
     /// ```
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -262,7 +262,7 @@ impl Snapshot {
     /// gauges are numbers, histograms are objects:
     ///
     /// ```text
-    /// {"net_accepted":4,"net_dispatch_ns":{"count":4,"mean_ns":812,...},"valve_inflight":0}
+    /// {"net_accepted":4,"net_dispatch_ns":{"count":4,"mean_ns":812,...},"net_idle_connections":0}
     /// ```
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");

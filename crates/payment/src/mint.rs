@@ -192,9 +192,9 @@ impl<S: ConcurrentKv> Mint<S> {
 
     /// Signature-only half of [`Self::deposit`]: checks the coin under
     /// its denomination key without touching the spent store. Pure and
-    /// side-effect free, so callers overlapping work with a concurrent
-    /// verification (the provider's valve) can run it early and commit
-    /// with [`Self::deposit_prechecked_for`] afterwards.
+    /// side-effect free, so a caller can run it among its other checks
+    /// and commit with [`Self::deposit_prechecked_for`] after all of
+    /// them pass.
     pub fn check_coin(&self, coin: &Coin) -> Result<(), PaymentError> {
         let key = self.public_key(coin.denomination)?;
         if !coin.verify(key) {

@@ -1,18 +1,13 @@
 //! Revocation lists.
 //!
 //! The paper's double-redemption and abuse-revocation mechanisms make
-//! revocation checks the hottest read path in a provider/device. We ship
-//! two interchangeable structures, compared in experiment **E5**:
-//!
-//! * [`RevocationList`] — sorted vector + binary search (`O(log n)`, exact);
-//! * [`BloomCrl`] — Bloom prefilter in front of the sorted list (`O(k)`
-//!   expected for the common *not revoked* case, exact overall because
-//!   positives are confirmed against the list).
+//! revocation checks the hottest read path in a provider/device:
+//! [`RevocationList`] is a sorted vector probed by binary search
+//! (`O(log n)`, exact).
 
 use crate::cert::KeyId;
 use p2drm_codec::{Decode, Encode, Reader, Writer};
 use p2drm_crypto::rsa::{RsaPublicKey, RsaSignature};
-use p2drm_crypto::sha256::sha256_concat;
 
 /// Exact revocation list: sorted ids, binary-searched.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -49,7 +44,7 @@ impl RevocationList {
         self.ids.binary_search(id).is_ok()
     }
 
-    /// Linear-scan membership (ablation baseline for E5 only).
+    /// Linear-scan membership: the test oracle for [`Self::contains`].
     pub fn contains_linear(&self, id: &KeyId) -> bool {
         self.ids.iter().any(|x| x == id)
     }
@@ -79,76 +74,6 @@ impl Encode for RevocationList {
 impl Decode for RevocationList {
     fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
         Ok(RevocationList::from_ids(r.get_seq()?))
-    }
-}
-
-/// Bloom-filtered revocation list: constant-expected-time negative checks
-/// with exact confirmation for positives.
-#[derive(Clone, Debug)]
-pub struct BloomCrl {
-    bits: Vec<u64>,
-    num_bits: usize,
-    num_hashes: u32,
-    exact: RevocationList,
-}
-
-impl BloomCrl {
-    /// Sizes the filter for `expected_items` at roughly the given
-    /// false-positive rate (`fp_rate` in (0,1)).
-    pub fn new(expected_items: usize, fp_rate: f64) -> Self {
-        let n = expected_items.max(1) as f64;
-        let fp = fp_rate.clamp(1e-9, 0.5);
-        let m = (-(n * fp.ln()) / (std::f64::consts::LN_2 * std::f64::consts::LN_2)).ceil();
-        let num_bits = (m as usize).max(64);
-        let k = ((m / n) * std::f64::consts::LN_2).round().max(1.0) as u32;
-        BloomCrl {
-            bits: vec![0u64; num_bits.div_ceil(64)],
-            num_bits,
-            num_hashes: k.min(16),
-            exact: RevocationList::new(),
-        }
-    }
-
-    fn bit_positions(&self, id: &KeyId) -> impl Iterator<Item = usize> + '_ {
-        // Double hashing: h_i = h1 + i*h2 (Kirsch–Mitzenmacher).
-        let d = sha256_concat(&[b"bloom", &id.0]);
-        let h1 = u64::from_le_bytes(d[..8].try_into().unwrap());
-        let h2 = u64::from_le_bytes(d[8..16].try_into().unwrap()) | 1;
-        let m = self.num_bits as u64;
-        (0..self.num_hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize)
-    }
-
-    /// Adds an id to filter and exact list.
-    pub fn insert(&mut self, id: KeyId) -> bool {
-        let positions: Vec<usize> = self.bit_positions(&id).collect();
-        for p in positions {
-            self.bits[p / 64] |= 1u64 << (p % 64);
-        }
-        self.exact.insert(id)
-    }
-
-    /// Exact membership (Bloom prefilter, list confirmation).
-    pub fn contains(&self, id: &KeyId) -> bool {
-        if !self.maybe_contains(id) {
-            return false;
-        }
-        self.exact.contains(id)
-    }
-
-    /// Filter-only probe (may return false positives; never false negatives).
-    pub fn maybe_contains(&self, id: &KeyId) -> bool {
-        self.bit_positions(id)
-            .all(|p| self.bits[p / 64] & (1u64 << (p % 64)) != 0)
-    }
-
-    /// Number of revoked ids.
-    pub fn len(&self) -> usize {
-        self.exact.len()
-    }
-
-    /// True when nothing is revoked.
-    pub fn is_empty(&self) -> bool {
-        self.exact.is_empty()
     }
 }
 
@@ -477,43 +402,6 @@ mod tests {
         for i in 0..400 {
             assert_eq!(crl.contains(&id(i)), crl.contains_linear(&id(i)), "i={i}");
         }
-    }
-
-    #[test]
-    fn bloom_no_false_negatives() {
-        let mut bloom = BloomCrl::new(1000, 0.01);
-        for i in 0..1000 {
-            bloom.insert(id(i));
-        }
-        for i in 0..1000 {
-            assert!(bloom.contains(&id(i)), "false negative at {i}");
-            assert!(bloom.maybe_contains(&id(i)));
-        }
-    }
-
-    #[test]
-    fn bloom_exact_on_negatives() {
-        let mut bloom = BloomCrl::new(1000, 0.01);
-        for i in 0..1000 {
-            bloom.insert(id(i));
-        }
-        // contains() is exact even where maybe_contains() false-positives.
-        for i in 1000..3000 {
-            assert!(!bloom.contains(&id(i)), "false positive leaked at {i}");
-        }
-    }
-
-    #[test]
-    fn bloom_fp_rate_is_sane() {
-        let mut bloom = BloomCrl::new(1000, 0.01);
-        for i in 0..1000 {
-            bloom.insert(id(i));
-        }
-        let fps = (1000..11_000)
-            .filter(|&i| bloom.maybe_contains(&id(i)))
-            .count();
-        // Target 1%; accept anything below 5% to keep the test robust.
-        assert!(fps < 500, "false positive rate too high: {fps}/10000");
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! * [`authority`] — certificate authorities: self-signed roots,
 //!   subordinate issuance, and the RA's dedicated blind-signing key.
 //! * [`chain`] — trust stores and chain verification (expiry + revocation).
-//! * [`crl`] — revocation lists: sorted-vector with binary search, a Bloom
-//!   filter prefilter variant (ablation for experiment E5), and signed CRL
-//!   envelopes.
+//! * [`crl`] — revocation lists (sorted vector with binary search) and
+//!   signed CRL envelopes.
 //! * [`vcache`] — a bounded, sharded [`VerifyCache`] remembering successful
 //!   signature verifications (keyed by cert bytes ‖ key fingerprint ‖
 //!   epoch bucket) so repeat presentations of the same certificate skip
@@ -39,9 +38,7 @@ pub use cert::{
     KeyId, PseudonymCertBody, PseudonymCertificate, SubjectKey, Validity,
 };
 pub use chain::{ChainError, TrustStore};
-pub use crl::{
-    verify_crl_batch, BloomCrl, CrlBatchOutcome, RevocationList, SignedCrl, SignedCrlDelta,
-};
+pub use crl::{verify_crl_batch, CrlBatchOutcome, RevocationList, SignedCrl, SignedCrlDelta};
 pub use vcache::{CacheCounters, VerifyCache};
 
 /// Errors raised by certificate verification and issuance.

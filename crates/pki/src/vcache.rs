@@ -100,7 +100,7 @@ impl Default for VerifyCache {
 impl VerifyCache {
     /// Cache bounded to roughly `capacity` entries across all shards.
     /// `capacity == 0` disables caching entirely (every lookup misses,
-    /// inserts are dropped) — the ablation/comparison configuration.
+    /// inserts are dropped).
     pub fn new(capacity: usize) -> Self {
         VerifyCache {
             shards: (0..SHARDS)

@@ -107,7 +107,7 @@ impl Rights {
     ///
     /// Check order (first failure wins): validity window, device binding,
     /// domain binding, region, grant/count. The order is part of the public
-    /// contract — transcripts in experiment E4 depend on it.
+    /// contract: which denial a device reports depends on it.
     pub fn evaluate(&self, state: &RightsState, req: &AccessRequest) -> Decision {
         if let Some(from) = self.window.from {
             if req.now < from {

@@ -1,14 +1,13 @@
-//! Experiment driver: regenerates every table/figure artifact quickly
-//! (fast-test parameters; the criterion benches in `p2drm-bench` sweep
-//! key sizes at realistic parameters).
+//! Experiment driver: regenerates the paper-reproduction tables and the
+//! observability and fault-drill artifacts (fast-test parameters).
+//! Performance is measured by the repository's benchmark, `perfbench/`
+//! (see `BENCHMARK.json`).
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p p2drm-sim --bin experiments [all|t1|t2|e1|e2|e3|e4|e5|e6|e7|e10|e11|e12|e13|e14|e15] [--quick]
+//! cargo run --release -p p2drm-sim --bin experiments [all|t1|t2|e1|e2|e7|e10|e14|e15] [--quick]
 //! ```
 //! Results print as tables and are also written to `results/*.json`.
-//! (E2 is storage growth — renumbered from its earlier `e6` slot when
-//! the TCP experiment took `e6`.)
 
 use p2drm_core::audit::{Party, Transcript};
 use p2drm_core::entities::user::PseudonymPolicy;
@@ -18,10 +17,8 @@ use p2drm_crypto::rng::test_rng;
 use p2drm_payment::{Mint, MintConfig, Wallet};
 use p2drm_sim::report::{fmt_bytes, fmt_ns, write_json, Table};
 use p2drm_sim::{
-    linkability_experiment, purchase_throughput, purchase_throughput_with, DispatchMode,
-    StoreBackend, ThroughputConfig,
+    linkability_experiment, purchase_throughput, DispatchMode, StoreBackend, ThroughputConfig,
 };
-use p2drm_store::SyncPolicy;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,15 +34,8 @@ fn main() {
         "t2" => t2_transfer_transcript(),
         "e1" => e1_message_costs(),
         "e2" => e2_storage(quick),
-        "e3" => e3_throughput(quick),
-        "e4" => e4_durability(quick),
-        "e5" => e5_wire(quick),
-        "e6" => e6_tcp(quick),
         "e7" => e7_linkability(quick),
         "e10" => e10_payment(quick),
-        "e11" => e11_hotpath(quick),
-        "e12" => e12_batch(quick),
-        "e13" => e13_c10k(quick),
         "e14" => e14_observability(quick),
         "e15" => e15_faults(quick),
         "all" => {
@@ -53,22 +43,13 @@ fn main() {
             t2_transfer_transcript();
             e1_message_costs();
             e2_storage(quick);
-            e3_throughput(quick);
-            e4_durability(quick);
-            e5_wire(quick);
-            e6_tcp(quick);
             e7_linkability(quick);
             e10_payment(quick);
-            e11_hotpath(quick);
-            e12_batch(quick);
-            e13_c10k(quick);
             e14_observability(quick);
             e15_faults(quick);
         }
         other => {
-            eprintln!(
-                "unknown experiment {other}; use all|t1|t2|e1|e2|e3|e4|e5|e6|e7|e10|e11|e12|e13|e14|e15"
-            );
+            eprintln!("unknown experiment {other}; use all|t1|t2|e1|e2|e7|e10|e14|e15");
             std::process::exit(2);
         }
     }
@@ -306,148 +287,6 @@ fn e1_message_costs() {
     let _ = write_json("e1_message_costs", &rows);
 }
 
-/// E3 (Fig 3): shared-provider throughput vs concurrent clients, with a
-/// serialized (1-shard) and a lock-sharded store for each thread count.
-fn e3_throughput(quick: bool) {
-    let clients_sweep: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let per_client = if quick { 4 } else { 8 };
-    let mut results = Vec::new();
-    let mut table = Table::new(
-        "E3 (Fig 3): purchase throughput vs concurrency (one shared provider)",
-        &["clients", "store shards", "ops", "throughput", "p50", "p99"],
-    );
-    for &clients in clients_sweep {
-        for store_shards in [1usize, 8] {
-            let mut rng = test_rng(0xE4 + clients as u64 + store_shards as u64 * 100);
-            let r = purchase_throughput(
-                ThroughputConfig {
-                    clients,
-                    purchases_per_client: per_client,
-                    store_shards,
-                    backend: StoreBackend::Mem,
-                    mode: DispatchMode::InProc,
-                    valve_batch: 0,
-                    ..ThroughputConfig::default()
-                },
-                &mut rng,
-            );
-            table.row(&[
-                r.clients.to_string(),
-                r.store_shards.to_string(),
-                r.completed.to_string(),
-                format!("{:.1}/s", r.throughput),
-                fmt_ns(r.latency.p50_ns as f64),
-                fmt_ns(r.latency.p99_ns as f64),
-            ]);
-            results.push(r);
-        }
-    }
-    println!("{}", table.render());
-    let _ = write_json("e3_throughput", &results);
-}
-
-/// E4: the price of durability — purchase throughput by store backend
-/// (volatile sharded vs WAL-sharded at each [`SyncPolicy`]) and thread
-/// count. Complements the `e4_durability` criterion bench, which sweeps
-/// the same grid at realistic measurement times.
-fn e4_durability(quick: bool) {
-    let clients_sweep: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    let per_client = if quick { 3 } else { 6 };
-    let backends = [
-        StoreBackend::Mem,
-        StoreBackend::WalSharded(SyncPolicy::Buffered),
-        StoreBackend::WalSharded(SyncPolicy::FlushEach),
-        StoreBackend::WalSharded(SyncPolicy::SyncEach),
-    ];
-    let mut results = Vec::new();
-    let mut table = Table::new(
-        "E4: durable purchase throughput (backend × sync policy × threads)",
-        &["backend", "clients", "ops", "throughput", "p50", "p99"],
-    );
-    for &clients in clients_sweep {
-        for (b, backend) in backends.iter().enumerate() {
-            let mut rng = test_rng(0xE40 + clients as u64 * 10 + b as u64);
-            let r = purchase_throughput(
-                ThroughputConfig {
-                    clients,
-                    purchases_per_client: per_client,
-                    store_shards: 8,
-                    backend: backend.clone(),
-                    mode: DispatchMode::InProc,
-                    valve_batch: 0,
-                    ..ThroughputConfig::default()
-                },
-                &mut rng,
-            );
-            table.row(&[
-                r.backend.clone(),
-                r.clients.to_string(),
-                r.completed.to_string(),
-                format!("{:.1}/s", r.throughput),
-                fmt_ns(r.latency.p50_ns as f64),
-                fmt_ns(r.latency.p99_ns as f64),
-            ]);
-            results.push(r);
-        }
-    }
-    println!("{}", table.render());
-    let _ = write_json("e4_durability", &results);
-}
-
-/// E5: the price of the wire — purchase throughput with direct `&self`
-/// dispatch vs the full byte-level path (envelope encode →
-/// `ProviderService::handle` → response decode) at each thread count.
-/// The gap is pure serialization + dispatch overhead: both modes hit the
-/// same shared provider on the same volatile backend.
-fn e5_wire(quick: bool) {
-    let clients_sweep: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    let per_client = if quick { 3 } else { 40 };
-    let mut results = Vec::new();
-    let mut table = Table::new(
-        "E5: wire-dispatch overhead (in-proc vs encode→dispatch→decode)",
-        &["mode", "clients", "ops", "throughput", "p50", "p99"],
-    );
-    for &clients in clients_sweep {
-        let mut pair = Vec::new();
-        for (m, mode) in [DispatchMode::InProc, DispatchMode::Wire]
-            .into_iter()
-            .enumerate()
-        {
-            let mut rng = test_rng(0xE50 + clients as u64 * 10 + m as u64);
-            let r = purchase_throughput(
-                ThroughputConfig {
-                    clients,
-                    purchases_per_client: per_client,
-                    store_shards: 8,
-                    backend: StoreBackend::Mem,
-                    mode,
-                    valve_batch: 0,
-                    ..ThroughputConfig::default()
-                },
-                &mut rng,
-            );
-            table.row(&[
-                r.mode.clone(),
-                r.clients.to_string(),
-                r.completed.to_string(),
-                format!("{:.1}/s", r.throughput),
-                fmt_ns(r.latency.p50_ns as f64),
-                fmt_ns(r.latency.p99_ns as f64),
-            ]);
-            pair.push(r.throughput);
-            results.push(r);
-        }
-        if let [inproc, wire] = pair[..] {
-            println!(
-                "  {clients} clients: wire/in-proc throughput ratio {:.3}",
-                wire / inproc
-            );
-        }
-    }
-    println!("{}", table.render());
-    let _ = write_json("e5_wire", &results);
-}
-
 struct E2Row {
     purchases: usize,
     license_store_entries: usize,
@@ -529,62 +368,6 @@ fn e2_storage(quick: bool) {
     }
     println!("{}", table.render());
     let _ = write_json("e2_storage", &rows);
-}
-
-/// E6: the price of the network — purchase throughput with direct
-/// `&self` dispatch, the in-proc byte-level wire path, and **real TCP
-/// sockets** (a `DrmServer` on a loopback port, one keep-alive
-/// `TcpTransport` per client thread) at each thread count. The
-/// wire→tcp gap is framing plus the kernel TCP stack; all three modes
-/// hit the same shared provider on the same volatile backend.
-fn e6_tcp(quick: bool) {
-    let clients_sweep: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    let per_client = if quick { 3 } else { 25 };
-    let mut results = Vec::new();
-    let mut table = Table::new(
-        "E6: network overhead (in-proc vs loopback wire vs real TCP)",
-        &["mode", "clients", "ops", "throughput", "p50", "p99"],
-    );
-    for &clients in clients_sweep {
-        let mut trio = Vec::new();
-        for (m, mode) in [DispatchMode::InProc, DispatchMode::Wire, DispatchMode::Tcp]
-            .into_iter()
-            .enumerate()
-        {
-            let mut rng = test_rng(0xE60 + clients as u64 * 10 + m as u64);
-            let r = purchase_throughput(
-                ThroughputConfig {
-                    clients,
-                    purchases_per_client: per_client,
-                    store_shards: 8,
-                    backend: StoreBackend::Mem,
-                    mode,
-                    valve_batch: 0,
-                    ..ThroughputConfig::default()
-                },
-                &mut rng,
-            );
-            table.row(&[
-                r.mode.clone(),
-                r.clients.to_string(),
-                r.completed.to_string(),
-                format!("{:.1}/s", r.throughput),
-                fmt_ns(r.latency.p50_ns as f64),
-                fmt_ns(r.latency.p99_ns as f64),
-            ]);
-            trio.push(r.throughput);
-            results.push(r);
-        }
-        if let [inproc, wire, tcp] = trio[..] {
-            println!(
-                "  {clients} clients: wire/in-proc ratio {:.3}, tcp/wire ratio {:.3}",
-                wire / inproc,
-                tcp / wire
-            );
-        }
-    }
-    println!("{}", table.render());
-    let _ = write_json("e6_tcp", &results);
 }
 
 /// E7 (Fig 6): linkability vs pseudonym refresh policy.
@@ -697,476 +480,6 @@ fn e10_payment(quick: bool) {
     let _ = write_json("e10_payment", &rows);
 }
 
-struct E11Row {
-    section: String,
-    name: String,
-    baseline: f64,
-    accelerated: f64,
-    unit: String,
-    speedup: f64,
-}
-
-impl p2drm_sim::json::ToJson for E11Row {
-    fn to_json(&self) -> p2drm_sim::json::Json {
-        use p2drm_sim::json::Json;
-        Json::obj([
-            ("section", self.section.to_json()),
-            ("name", self.name.to_json()),
-            ("baseline", self.baseline.to_json()),
-            ("accelerated", self.accelerated.to_json()),
-            ("unit", self.unit.to_json()),
-            ("speedup", self.speedup.to_json()),
-        ])
-    }
-}
-
-/// Mean wall-clock nanoseconds per call of `f` over `iters` calls.
-fn mean_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    let t0 = std::time::Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    t0.elapsed().as_nanos() as f64 / iters as f64
-}
-
-/// E11: hot-path crypto acceleration. Measures the allocation-free
-/// windowed Montgomery kernel, the dedicated squaring, the small-`e`
-/// verify path and fixed-base ElGamal against the pre-PR kernel (kept
-/// callable as `Mont::pow_reference` / `Kernel::Reference`), then the
-/// end-to-end effect: single-thread purchase throughput with the old vs
-/// new kernel, and the provider's verification cache on a repeat-cert
-/// workload (cache on vs off).
-fn e11_hotpath(quick: bool) {
-    use p2drm_core::entities::provider::{ContentProvider, ProviderConfig};
-    use p2drm_crypto::bignum::{mont, rng as brng, Mont, UBig};
-    use p2drm_crypto::elgamal::ElGamalGroup;
-    use std::hint::black_box;
-
-    assert_eq!(mont::kernel(), mont::Kernel::Fast, "fast kernel is default");
-    let mut rows: Vec<E11Row> = Vec::new();
-
-    // --- Kernel micro-ops: pow (full + small-e) and sqr vs mul ---------
-    let mut rng = test_rng(0xE110);
-    let bit_sweep: &[usize] = if quick { &[512] } else { &[512, 1024, 2048] };
-    for &bits in bit_sweep {
-        let mut modulus = brng::random_bits(&mut rng, bits);
-        modulus.set_bit(bits - 1);
-        modulus.set_bit(0);
-        let mctx = Mont::new(&modulus).unwrap();
-        let base = brng::random_below(&mut rng, &modulus);
-        let exp = brng::random_bits(&mut rng, bits);
-        let iters = if quick { 3 } else { 2048 * 40 / bits.max(1) };
-
-        let t_ref = mean_ns(iters, || {
-            black_box(mctx.pow_reference(black_box(&base), black_box(&exp)));
-        });
-        let t_fast = mean_ns(iters, || {
-            black_box(mctx.pow(black_box(&base), black_box(&exp)));
-        });
-        rows.push(E11Row {
-            section: "modexp".into(),
-            name: format!("pow {bits}-bit (full exponent)"),
-            baseline: t_ref,
-            accelerated: t_fast,
-            unit: "ns/op".into(),
-            speedup: t_ref / t_fast,
-        });
-
-        let e65537 = UBig::from_u64(65537);
-        let t_ref_e = mean_ns(iters * 8, || {
-            black_box(mctx.pow_reference(black_box(&base), black_box(&e65537)));
-        });
-        let t_fast_e = mean_ns(iters * 8, || {
-            black_box(mctx.pow_u64(black_box(&base), 65537));
-        });
-        rows.push(E11Row {
-            section: "modexp".into(),
-            name: format!("pow {bits}-bit (e = 65537 verify)"),
-            baseline: t_ref_e,
-            accelerated: t_fast_e,
-            unit: "ns/op".into(),
-            speedup: t_ref_e / t_fast_e,
-        });
-
-        let am = mctx.to_mont(&base);
-        let sqr_iters = if quick {
-            16
-        } else {
-            40_000 * 512 / bits.max(1)
-        };
-        let t_mul = mean_ns(sqr_iters, || {
-            black_box(mctx.mont_mul(black_box(&am), black_box(&am)));
-        });
-        let t_sqr = mean_ns(sqr_iters, || {
-            black_box(mctx.mont_sqr(black_box(&am)));
-        });
-        rows.push(E11Row {
-            section: "modexp".into(),
-            name: format!("mont square {bits}-bit (mul(a,a) vs sqr(a))"),
-            baseline: t_mul,
-            accelerated: t_sqr,
-            unit: "ns/op".into(),
-            speedup: t_mul / t_sqr,
-        });
-    }
-
-    // --- Fixed-base ElGamal: table lookups + muls vs generic pow -------
-    let group = if quick {
-        ElGamalGroup::test_512()
-    } else {
-        ElGamalGroup::modp_1024()
-    };
-    let mut grng = test_rng(0xE111);
-    let exps: Vec<UBig> = (0..8).map(|_| group.random_exponent(&mut grng)).collect();
-    let _ = group.pow_g(&exps[0]); // warm-up: build the table outside the clock
-    let fb_iters = if quick { 4 } else { 64 };
-    let g = group.generator().clone();
-    let mut i = 0usize;
-    let t_generic = mean_ns(fb_iters, || {
-        i += 1;
-        black_box(group.pow(black_box(&g), &exps[i % exps.len()]));
-    });
-    let t_fixed = mean_ns(fb_iters, || {
-        i += 1;
-        black_box(group.pow_g(&exps[i % exps.len()]));
-    });
-    rows.push(E11Row {
-        section: "fixed-base".into(),
-        name: format!("ElGamal g^x ({}-bit group)", group.modulus().bit_len()),
-        baseline: t_generic,
-        accelerated: t_fixed,
-        unit: "ns/op".into(),
-        speedup: t_generic / t_fixed,
-    });
-
-    // --- End-to-end: single-thread purchases, old vs new kernel --------
-    // Same box, same workload; only the process-wide kernel knob differs.
-    let per_client = if quick { 3 } else { 40 };
-    let run = |seed: u64| {
-        let mut rng = test_rng(seed);
-        purchase_throughput(
-            ThroughputConfig {
-                clients: 1,
-                purchases_per_client: per_client,
-                store_shards: 8,
-                backend: StoreBackend::Mem,
-                mode: DispatchMode::InProc,
-                valve_batch: 0,
-                ..ThroughputConfig::default()
-            },
-            &mut rng,
-        )
-    };
-    mont::set_kernel(mont::Kernel::Reference);
-    let before = run(0xE112);
-    mont::set_kernel(mont::Kernel::Fast);
-    let after = run(0xE112);
-    rows.push(E11Row {
-        section: "purchase".into(),
-        name: "single-thread purchases/s (reference vs fast kernel)".into(),
-        baseline: before.throughput,
-        accelerated: after.throughput,
-        unit: "purchases/s".into(),
-        speedup: after.throughput / before.throughput,
-    });
-    // Mean latency from the wall clock (the histogram's log buckets are
-    // too coarse to resolve a <2x shift).
-    let mean_before = 1e9 * before.wall_secs / before.completed.max(1) as f64;
-    let mean_after = 1e9 * after.wall_secs / after.completed.max(1) as f64;
-    rows.push(E11Row {
-        section: "purchase".into(),
-        name: "per-purchase mean latency (reference vs fast kernel)".into(),
-        baseline: mean_before,
-        accelerated: mean_after,
-        unit: "ns/op".into(),
-        speedup: mean_before / mean_after,
-    });
-
-    // --- Verification cache: repeat-cert workload, cache on vs off -----
-    let mut rng = test_rng(0xE113);
-    let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-    let make_provider = |root: &mut _, capacity: usize, rng: &mut _| {
-        ContentProvider::new(
-            root,
-            sys.mint.clone(),
-            sys.ra.blind_public().clone(),
-            ProviderConfig {
-                verify_cache_capacity: capacity,
-                ..ProviderConfig::fast_test()
-            },
-            rng,
-        )
-    };
-    let uncached = make_provider(&mut sys.root, 0, &mut rng);
-    let cached = make_provider(&mut sys.root, 4096, &mut rng);
-    let mut user = sys.register_user("e11-repeat", &mut rng).unwrap();
-    sys.ensure_pseudonym(&mut user, &mut rng).unwrap();
-    let cert = user.current_pseudonym().unwrap().clone();
-    let epoch = sys.epoch();
-    // Interleaved best-of-rounds: the 1-CPU reference box is noisy, and a
-    // background hiccup in either batch would skew a single-pass ratio.
-    let verify_iters = if quick { 16 } else { 300 };
-    let rounds = if quick { 1 } else { 3 };
-    let (mut t_uncached, mut t_cached) = (f64::MAX, f64::MAX);
-    for _ in 0..rounds {
-        t_uncached = t_uncached.min(mean_ns(verify_iters, || {
-            uncached.verify_pseudonym(black_box(&cert), epoch).unwrap();
-        }));
-        t_cached = t_cached.min(mean_ns(verify_iters, || {
-            cached.verify_pseudonym(black_box(&cert), epoch).unwrap();
-        }));
-    }
-    rows.push(E11Row {
-        section: "verify-cache".into(),
-        name: "repeat-cert verify_pseudonym (cache off vs on)".into(),
-        baseline: t_uncached,
-        accelerated: t_cached,
-        unit: "ns/op".into(),
-        speedup: t_uncached / t_cached,
-    });
-    let counters = cached.verify_cache_counters();
-
-    let mut table = Table::new(
-        "E11: hot-path crypto acceleration (baseline vs accelerated)",
-        &["section", "operation", "baseline", "accelerated", "speedup"],
-    );
-    for r in &rows {
-        let fmt = |v: f64| {
-            if r.unit == "purchases/s" {
-                format!("{v:.1}/s")
-            } else {
-                fmt_ns(v)
-            }
-        };
-        table.row(&[
-            r.section.clone(),
-            r.name.clone(),
-            fmt(r.baseline),
-            fmt(r.accelerated),
-            format!("{:.2}x", r.speedup),
-        ]);
-    }
-    println!("{}", table.render());
-    println!(
-        "  verify cache on the repeat-cert workload: {} hits / {} misses (hit rate {:.1}%), {} insertions, {} evictions\n",
-        counters.hits,
-        counters.misses,
-        100.0 * counters.hit_rate(),
-        counters.insertions,
-        counters.evictions,
-    );
-    let _ = write_json("e11_hotpath", &rows);
-}
-
-/// E12: batch verification. Part A sweeps the batch size `k` and compares
-/// per-signature cost of `k` individual PKCS#1 verifications against one
-/// screened batch ([`p2drm_crypto::batch::screen_batch`] — unit scalars,
-/// one combined check). Part B turns the provider's verification valve on
-/// under 8 concurrent clients and compares end-to-end purchase throughput
-/// against the valve-off baseline on the same workload.
-fn e12_batch(quick: bool) {
-    use p2drm_crypto::batch;
-    use p2drm_crypto::rsa::{RsaKeyPair, RsaSignature};
-    use std::hint::black_box;
-
-    let mut rows: Vec<E11Row> = Vec::new();
-
-    // --- Part A: per-signature verify cost vs batch size ---------------
-    let ks: &[usize] = if quick {
-        &[2, 4, 16]
-    } else {
-        &[2, 4, 8, 16, 32, 64]
-    };
-    let bits = if quick { 512 } else { 1024 };
-    let mut rng = test_rng(0xE120);
-    let kp = RsaKeyPair::generate(bits, &mut rng);
-    let max_k = *ks.last().unwrap();
-    // Distinct messages: the screening check requires them (duplicates
-    // fall back to individual verification).
-    let msgs: Vec<Vec<u8>> = (0..max_k)
-        .map(|i| format!("e12 batch message #{i}").into_bytes())
-        .collect();
-    let sigs: Vec<RsaSignature> = msgs.iter().map(|m| kp.sign(m)).collect();
-
-    for &k in ks {
-        let items: Vec<(&[u8], &RsaSignature)> = msgs[..k]
-            .iter()
-            .zip(&sigs[..k])
-            .map(|(m, s)| (m.as_slice(), s))
-            .collect();
-        let iters = if quick { 2 } else { (128 / k).max(4) };
-        // Interleaved best-of-rounds, as in E11: the 1-CPU box is noisy.
-        let rounds = if quick { 1 } else { 3 };
-        let (mut t_item, mut t_batch) = (f64::MAX, f64::MAX);
-        for _ in 0..rounds {
-            t_item = t_item.min(
-                mean_ns(iters, || {
-                    for (m, s) in &items {
-                        kp.public().verify(black_box(m), black_box(s)).unwrap();
-                    }
-                }) / k as f64,
-            );
-            t_batch = t_batch.min(
-                mean_ns(iters, || {
-                    assert!(batch::screen_batch(kp.public(), black_box(&items)).all_valid());
-                }) / k as f64,
-            );
-        }
-        rows.push(E11Row {
-            section: "batch-verify".into(),
-            name: format!("screened batch, k = {k} ({bits}-bit, per signature)"),
-            baseline: t_item,
-            accelerated: t_batch,
-            unit: "ns/sig".into(),
-            speedup: t_item / t_batch,
-        });
-    }
-
-    // --- Part B: valve on vs off, 8 concurrent clients -----------------
-    // Every purchase presents a fresh pseudonym certificate, so each one
-    // is a verification-cache miss — exactly the traffic the valve
-    // batches. Same workload, same seed; only the valve knob differs.
-    //
-    // Production-grade 2048-bit keys (quick mode keeps the fast test
-    // keys): batching trades one context switch per staged item for the
-    // per-item share of a combined check, so it pays exactly when a
-    // single verification costs well more than a switch. At 2048 bits a
-    // verify is ~25µs against a ~2µs switch and the valve wins outright;
-    // at the 512-bit test-key size the savings (~1µs) drown in
-    // scheduling noise.
-    let valve_bits = if quick { 512 } else { 2048 };
-    let clients = 8;
-    let per_client = if quick { 2 } else { 8 };
-    let run = |valve_batch: usize, seed: u64| {
-        let mut rng = test_rng(seed);
-        purchase_throughput_with(
-            SystemConfig {
-                key_bits: valve_bits,
-                ..SystemConfig::fast_test()
-            },
-            ThroughputConfig {
-                clients,
-                purchases_per_client: per_client,
-                store_shards: 8,
-                backend: StoreBackend::Mem,
-                mode: DispatchMode::InProc,
-                valve_batch,
-                ..ThroughputConfig::default()
-            },
-            &mut rng,
-        )
-    };
-    let rounds = if quick { 1 } else { 4 };
-    let mut off = run(0, 0xE121);
-    let mut on = run(4, 0xE122);
-    for _ in 1..rounds {
-        let o = run(0, 0xE121);
-        if o.throughput > off.throughput {
-            off = o;
-        }
-        let v = run(4, 0xE122);
-        if v.throughput > on.throughput {
-            on = v;
-        }
-    }
-    rows.push(E11Row {
-        section: "valve".into(),
-        name: format!("purchases/s, {clients} clients, {valve_bits}-bit (valve off vs batch 4)"),
-        baseline: off.throughput,
-        accelerated: on.throughput,
-        unit: "purchases/s".into(),
-        speedup: on.throughput / off.throughput,
-    });
-
-    let mut table = Table::new(
-        "E12: batch verification (per-item baseline vs batched)",
-        &["section", "operation", "baseline", "accelerated", "speedup"],
-    );
-    for r in &rows {
-        let fmt = |v: f64| {
-            if r.unit == "purchases/s" {
-                format!("{v:.1}/s")
-            } else {
-                fmt_ns(v)
-            }
-        };
-        table.row(&[
-            r.section.clone(),
-            r.name.clone(),
-            fmt(r.baseline),
-            fmt(r.accelerated),
-            format!("{:.2}x", r.speedup),
-        ]);
-    }
-    println!("{}", table.render());
-    println!(
-        "  valve-on run: {} batched, {} size flushes, {} timer flushes, {} fallback splits\n",
-        on.valve.batched, on.valve.size_flushes, on.valve.timer_flushes, on.valve.fallback_splits,
-    );
-    let _ = write_json("e12_batch", &rows);
-}
-
-/// E13: event-driven C10K — thousands of open keep-alive connections on
-/// a handful of workers, plus pipelined-vs-serial throughput on one
-/// connection through the submit/complete Transport contract.
-fn e13_c10k(quick: bool) {
-    use p2drm_sim::OpenLoopConfig;
-
-    let config = if quick {
-        OpenLoopConfig::quick()
-    } else {
-        OpenLoopConfig::full()
-    };
-    println!(
-        "== E13: C10K open connections ({} conns, {} workers, depth {}) ==",
-        config.connections, config.workers, config.pipeline_depth
-    );
-    let result = p2drm_sim::openloop::c10k(&config);
-
-    let mut table = Table::new("E13 — C10K event-driven core", &["measure", "value"]);
-    table.row(&[
-        "open keep-alive connections".into(),
-        format!(
-            "{} (idle gauge {})",
-            result.connections, result.idle_at_peak
-        ),
-    ]);
-    table.row(&["server workers".into(), result.workers.to_string()]);
-    table.row(&[
-        "sweep throughput".into(),
-        format!(
-            "{:.0} req/s over {} reqs",
-            result.sweep_throughput, result.swept_requests
-        ),
-    ]);
-    table.row(&[
-        "sweep latency p50/p99".into(),
-        format!(
-            "{} / {}",
-            fmt_ns(result.latency.p50_ns as f64),
-            fmt_ns(result.latency.p99_ns as f64)
-        ),
-    ]);
-    table.row(&[
-        "serial rps (1 conn)".into(),
-        format!("{:.0}/s", result.serial_rps),
-    ]);
-    table.row(&[
-        format!("pipelined rps (1 conn, depth {})", result.pipeline_depth),
-        format!("{:.0}/s", result.pipelined_rps),
-    ]);
-    table.row(&[
-        "pipelining speedup".into(),
-        format!("{:.2}x", result.speedup),
-    ]);
-    table.row(&[
-        "server pipeline depth hwm".into(),
-        result.pipeline_depth_hwm.to_string(),
-    ]);
-    println!("{}", table.render());
-    let _ = write_json("e13_c10k", &result);
-}
-
 /// E14: observability overhead and the unified exposition.
 ///
 /// Part A prices the instrumentation on the wire purchase path: the same
@@ -1176,10 +489,10 @@ fn e13_c10k(quick: bool) {
 /// scheduler noise; outside `--quick` the enabled arms must stay within
 /// 2% of the disabled baseline.
 ///
-/// Part B is the payoff: one TCP + WAL + valve run whose single registry
-/// snapshot carries `service_*`, `valve_*`, `vcache_*`, `crypto_batch_*`,
-/// `store_*` and `net_*` series together — the per-op latency table and
-/// the unified text exposition both render from that one snapshot.
+/// Part B is the payoff: one TCP + WAL run whose single registry snapshot
+/// carries `service_*`, `vcache_*`, `crypto_batch_*`, `store_*` and
+/// `net_*` series together — the per-op latency table and the unified
+/// text exposition both render from that one snapshot.
 fn e14_observability(quick: bool) {
     use p2drm_obs::{MetricValue, Registry};
     use p2drm_sim::json::{Json, ToJson};
@@ -1209,8 +522,7 @@ fn e14_observability(quick: bool) {
                 store_shards: 8,
                 backend: StoreBackend::Mem,
                 mode: DispatchMode::Wire,
-                valve_batch: 0,
-                registry: Some(registry),
+                registry,
                 tracing,
             },
             &mut rng,
@@ -1344,18 +656,17 @@ fn e14_observability(quick: bool) {
             clients: 2,
             purchases_per_client: if quick { 3 } else { 12 },
             store_shards: 2,
-            backend: StoreBackend::WalSharded(p2drm_store::SyncPolicy::Buffered),
+            backend: StoreBackend::Wal,
             mode: DispatchMode::Tcp,
-            valve_batch: 2,
-            registry: Some(registry),
+            registry,
             tracing: true,
         },
         &mut rng,
     );
-    let snapshot = showcase.snapshot.clone().unwrap_or_default();
+    let snapshot = showcase.snapshot;
 
     let mut ops = Table::new(
-        "E14b: per-op service latency (one unified snapshot; TCP + WAL + valve)",
+        "E14b: per-op service latency (one unified snapshot; TCP + WAL)",
         &["metric", "count", "mean", "p50", "p99"],
     );
     let mut per_op = Vec::new();
@@ -1382,14 +693,7 @@ fn e14_observability(quick: bool) {
     }
     println!("{}", ops.render());
 
-    let prefixes = [
-        "service_",
-        "valve_",
-        "vcache_",
-        "crypto_batch_",
-        "store_",
-        "net_",
-    ];
+    let prefixes = ["service_", "vcache_", "crypto_batch_", "store_", "net_"];
     let covered: Vec<&str> = prefixes
         .iter()
         .copied()
@@ -1438,9 +742,8 @@ fn e14_observability(quick: bool) {
 /// intact — deposits == licenses issued == licenses held, coin
 /// conservation, no duplicate license ids — and one kill/restart
 /// schedule is replayed to show the
-/// same seed reproduces a byte-identical fault trace. (The JSON artifact
-/// is `e14_faults`: the fault-drill series kept its issue-assigned name
-/// even though the `e14` CLI slot had gone to observability.)
+/// same seed reproduces a byte-identical fault trace. The JSON artifact
+/// is `results/e15_faults.json`.
 fn e15_faults(quick: bool) {
     use p2drm_sim::chaos::{run_drill, ChaosConfig};
     use p2drm_sim::json::{Json, ToJson};
@@ -1556,7 +859,7 @@ fn e15_faults(quick: bool) {
     );
 
     let _ = write_json(
-        "e14_faults",
+        "e15_faults",
         &Json::obj([
             ("schedules", outcomes.len().to_json()),
             ("ops_per_drill", ops.to_json()),

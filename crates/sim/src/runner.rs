@@ -1,23 +1,20 @@
-//! Concurrent purchase throughput (experiments E3/E4/E5).
+//! Concurrent wire purchase throughput (experiment E14).
 //!
 //! Client threads submit pre-built purchase requests against **one shared
-//! provider** through `&self` — the refactored `ContentProvider` is `Sync`,
-//! so no external mutex and no per-thread provider clones are involved.
+//! provider** through `&self` — the `ContentProvider` is `Sync`, so no
+//! external mutex and no per-thread provider clones are involved.
 //! Parallelism comes from the provider's internal lock sharding: the
 //! spent-ID/license store is a `ShardedKv`, the catalog and rights
 //! templates are read-locked, and license signing needs no lock at all.
-//! `store_shards = 1` degenerates to a fully serialized store, which is
-//! the paper's single-license-server baseline.
 //!
-//! Two orthogonal knobs pick the deployment shape under test:
-//! [`StoreBackend`] (volatile vs WAL-backed) and [`DispatchMode`]
-//! (direct `&self` calls, the byte-level wire path through
-//! [`ProviderService`] — encode request, dispatch, decode response —
-//! which is what experiment E5 uses to price serialization, or real
-//! TCP sockets through `p2drm-net`'s `DrmServer`/`TcpTransport`, which
-//! is what experiment E6 uses to price the network stack itself).
+//! Two knobs pick the deployment shape under test: [`StoreBackend`]
+//! (volatile vs WAL-backed) and [`DispatchMode`] (the byte-level wire
+//! path through [`ProviderService`] — encode request, dispatch, decode
+//! response — or real TCP sockets through `p2drm-net`'s
+//! `DrmServer`/`TcpTransport`). Every run records into a caller-owned
+//! metrics registry, so E14 can price the instrumentation and show one
+//! snapshot carrying every subsystem's series.
 
-use crate::json::{Json, ToJson};
 use crate::metrics::{Histogram, Summary};
 use p2drm_core::entities::provider::{ContentProvider, ProviderConfig};
 use p2drm_core::protocol::messages::PurchaseRequest;
@@ -28,39 +25,25 @@ use p2drm_core::system::{System, SystemConfig};
 use p2drm_net::{ClientConfig, DrmServer, NetConfig, ServerHandle, TcpTransport};
 use p2drm_store::{ConcurrentKv, SyncPolicy, WalShardedConfig};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Which store backend the provider under test runs on.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StoreBackend {
     /// Volatile lock-sharded store (`ShardedKv<MemKv>`) — the upper
     /// bound: no durability cost.
     Mem,
-    /// WAL-backed sharded store (`WalShardedKv`) at the given durability
-    /// level, in a unique temp directory (removed after the run).
-    WalSharded(SyncPolicy),
-}
-
-impl StoreBackend {
-    /// Short label for tables/JSON (`mem`, `wal-buffered`, …).
-    pub fn label(&self) -> String {
-        match self {
-            StoreBackend::Mem => "mem".into(),
-            StoreBackend::WalSharded(SyncPolicy::Buffered) => "wal-buffered".into(),
-            StoreBackend::WalSharded(SyncPolicy::FlushEach) => "wal-flush-each".into(),
-            StoreBackend::WalSharded(SyncPolicy::SyncEach) => "wal-sync-each".into(),
-        }
-    }
+    /// WAL-backed sharded store (`WalShardedKv`) under
+    /// [`SyncPolicy::Buffered`], in a unique temp directory (removed
+    /// after the run).
+    Wal,
 }
 
 /// How client threads reach the provider.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DispatchMode {
-    /// Direct in-process `&self` calls (no serialization).
-    InProc,
     /// Full wire path per purchase: encode a [`RequestEnvelope`],
     /// [`ProviderService::handle`] the bytes, decode the
     /// [`ResponseEnvelope`].
@@ -72,17 +55,6 @@ pub enum DispatchMode {
     Tcp,
 }
 
-impl DispatchMode {
-    /// Short label for tables/JSON.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DispatchMode::InProc => "in-proc",
-            DispatchMode::Wire => "wire",
-            DispatchMode::Tcp => "tcp",
-        }
-    }
-}
-
 /// Throughput run parameters.
 #[derive(Clone, Debug)]
 pub struct ThroughputConfig {
@@ -90,64 +62,27 @@ pub struct ThroughputConfig {
     pub clients: usize,
     /// Purchases per client.
     pub purchases_per_client: usize,
-    /// Lock shards inside the provider's store (1 = fully serialized
-    /// store, the single-license-server shape).
+    /// Lock shards inside the provider's store.
     pub store_shards: usize,
     /// Store backend under test.
     pub backend: StoreBackend,
-    /// In-process calls or the byte-level wire path.
+    /// In-process wire path or real TCP sockets.
     pub mode: DispatchMode,
-    /// Provider verification-valve batch size (0 = valve off, the
-    /// pre-valve behaviour; >0 stages cache-missing pseudonym
-    /// verifications and flushes them as one screened batch).
-    pub valve_batch: usize,
-    /// Private metrics registry for the run. `Some` routes the service
-    /// (and, in TCP mode, the server) through
-    /// [`ProviderService::with_registry`] so the run's counters and
-    /// latency histograms land in a caller-owned registry instead of the
-    /// process-wide one, and [`ThroughputResult::snapshot`] carries the
-    /// end-of-run exposition. `None` keeps the default (global registry,
-    /// no snapshot) — zero behaviour change for existing callers.
-    pub registry: Option<Arc<p2drm_obs::Registry>>,
-    /// Enable per-request tracing on the run's service(s). Only
-    /// meaningful with a private `registry`; prices the tracer's
-    /// overhead in experiment E14.
+    /// Private metrics registry for the run: the service (and, in TCP
+    /// mode, the server) records into it through
+    /// [`ProviderService::with_registry`] instead of the process-wide
+    /// one, and [`ThroughputResult::snapshot`] carries the end-of-run
+    /// exposition.
+    pub registry: Arc<p2drm_obs::Registry>,
+    /// Enable per-request tracing on the run's service(s).
     pub tracing: bool,
-}
-
-impl Default for ThroughputConfig {
-    /// Smallest meaningful run: one client, one purchase, serialized
-    /// store, volatile backend, in-process dispatch, valve off, global
-    /// registry, no tracing.
-    fn default() -> Self {
-        ThroughputConfig {
-            clients: 1,
-            purchases_per_client: 1,
-            store_shards: 1,
-            backend: StoreBackend::Mem,
-            mode: DispatchMode::InProc,
-            valve_batch: 0,
-            registry: None,
-            tracing: false,
-        }
-    }
 }
 
 /// Throughput results.
 #[derive(Clone, Debug)]
 pub struct ThroughputResult {
-    /// Threads used.
-    pub clients: usize,
-    /// Store lock shards used.
-    pub store_shards: usize,
-    /// Backend label (`mem`, `wal-flush-each`, …).
-    pub backend: String,
-    /// Dispatch label (`in-proc`, `wire`).
-    pub mode: String,
     /// Completed purchases.
     pub completed: usize,
-    /// Wall-clock seconds.
-    pub wall_secs: f64,
     /// Purchases per second (aggregate).
     pub throughput: f64,
     /// Per-purchase latency summary.
@@ -159,40 +94,11 @@ pub struct ThroughputResult {
     /// nothing), so it is the statistic of choice for small-overhead
     /// comparisons like E14's ≤2% observability budget.
     pub median_op_ns: u64,
-    /// Verification-valve counters for the run (all zero when the valve
-    /// is off).
-    pub valve: p2drm_core::valve::ValveCounters,
     /// End-of-run unified metrics snapshot, taken from the private
     /// registry while the provider is still alive (its weak
     /// [`p2drm_obs::MetricSource`] registration would go dead once the
-    /// run's `Arc`s drop). `None` unless [`ThroughputConfig::registry`]
-    /// was supplied.
-    pub snapshot: Option<p2drm_obs::Snapshot>,
-}
-
-impl ToJson for ThroughputResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("clients", self.clients.to_json()),
-            ("store_shards", self.store_shards.to_json()),
-            ("backend", self.backend.to_json()),
-            ("mode", self.mode.to_json()),
-            ("completed", self.completed.to_json()),
-            ("wall_secs", self.wall_secs.to_json()),
-            ("throughput", self.throughput.to_json()),
-            ("latency", self.latency.to_json()),
-            ("median_op_ns", self.median_op_ns.to_json()),
-            (
-                "valve",
-                Json::obj([
-                    ("batched", self.valve.batched.to_json()),
-                    ("timer_flushes", self.valve.timer_flushes.to_json()),
-                    ("size_flushes", self.valve.size_flushes.to_json()),
-                    ("fallback_splits", self.valve.fallback_splits.to_json()),
-                ]),
-            ),
-        ])
-    }
+    /// run's `Arc`s drop).
+    pub snapshot: p2drm_obs::Snapshot,
 }
 
 /// Self-cleaning unique temp directory for WAL-backed runs.
@@ -219,32 +125,19 @@ impl Drop for TempDir {
 
 /// Runs the throughput experiment on the configured backend. Setup
 /// (users, pseudonyms, coins) is excluded from the measured section; only
-/// provider-side handling is timed — the license-server capacity
-/// question, now including the cost of durability when the backend is
-/// WAL-backed.
+/// request handling is timed — the license-server capacity question,
+/// including the cost of durability when the backend is WAL-backed.
 pub fn purchase_throughput<R: Rng>(config: ThroughputConfig, rng: &mut R) -> ThroughputResult {
-    purchase_throughput_with(SystemConfig::fast_test(), config, rng)
-}
-
-/// [`purchase_throughput`] over a caller-chosen [`SystemConfig`] — e.g.
-/// realistic key sizes, where per-signature verification is expensive
-/// enough for the valve's batching to matter (experiment E12).
-pub fn purchase_throughput_with<R: Rng>(
-    system: SystemConfig,
-    config: ThroughputConfig,
-    rng: &mut R,
-) -> ThroughputResult {
-    let mut sys = System::bootstrap(system, rng);
+    let mut sys = System::bootstrap(SystemConfig::fast_test(), rng);
     let provider_config = ProviderConfig {
         store_shards: config.store_shards,
-        valve_batch: config.valve_batch,
         ..ProviderConfig::fast_test()
     };
 
     // The shared provider under test, with the requested store sharding
     // and backend. It shares the system's mint, so deposits (and
     // double-spend protection) stay globally consistent.
-    match config.backend.clone() {
+    match config.backend {
         StoreBackend::Mem => {
             let provider = ContentProvider::new(
                 &mut sys.root,
@@ -255,7 +148,7 @@ pub fn purchase_throughput_with<R: Rng>(
             );
             drive_provider(config, sys, provider, rng)
         }
-        StoreBackend::WalSharded(policy) => {
+        StoreBackend::Wal => {
             let tmp = TempDir::new();
             let (provider, _report) = ContentProvider::open_durable(
                 &mut sys.root,
@@ -264,7 +157,7 @@ pub fn purchase_throughput_with<R: Rng>(
                 &tmp.0,
                 WalShardedConfig {
                     shards: config.store_shards.max(1),
-                    policy,
+                    policy: SyncPolicy::Buffered,
                 },
                 provider_config,
                 rng,
@@ -329,36 +222,24 @@ fn drive_provider<B: ConcurrentKv + Send + Sync + 'static, R: Rng>(
         .map(|_| Mutex::new(Vec::with_capacity(config.purchases_per_client)))
         .collect();
 
-    // Wire mode fronts the same provider with the byte-level service;
-    // each purchase then pays encode → handle (decode, dispatch, encode)
-    // → decode inside the timed section. A caller-supplied registry
-    // keeps the run's metrics out of the process-wide tables.
-    let service = match &config.registry {
-        Some(registry) => {
-            // Fold the batch crypto layer's process-wide counters into
-            // the private snapshot too.
-            registry.register_source(Arc::downgrade(p2drm_crypto::batch::batch_metric_source()));
-            ProviderService::with_registry(provider.clone(), 0x317E_0000, registry.clone())
-        }
-        None => ProviderService::new(provider.clone(), 0x317E_0000),
-    };
+    // The byte-level service fronts the shared provider; each purchase
+    // pays encode → handle (decode, dispatch, encode) → decode inside the
+    // timed section. Fold the batch crypto layer's process-wide counters
+    // into the private snapshot too.
+    let registry = &config.registry;
+    registry.register_source(Arc::downgrade(p2drm_crypto::batch::batch_metric_source()));
+    let service = ProviderService::with_registry(provider.clone(), 0x317E_0000, registry.clone());
     service.set_tracing(config.tracing);
     service.set_time(epoch, sys.now());
-    let mode = config.mode;
 
     // Tcp mode additionally boots a real server on a loopback port (its
     // own service instance over the same shared provider) with one
     // worker per client thread, so keep-alive connections are never
-    // starved. Connections are established outside the timed section —
-    // the steady-state cost under test is request/reply, not dialing.
-    let server: Option<ServerHandle> = match mode {
+    // starved.
+    let server: Option<ServerHandle> = match config.mode {
         DispatchMode::Tcp => {
-            let tcp_service = match &config.registry {
-                Some(registry) => {
-                    ProviderService::with_registry(provider.clone(), 0x317E_0001, registry.clone())
-                }
-                None => ProviderService::new(provider.clone(), 0x317E_0001),
-            };
+            let tcp_service =
+                ProviderService::with_registry(provider.clone(), 0x317E_0001, registry.clone());
             tcp_service.set_tracing(config.tracing);
             tcp_service.set_time(epoch, sys.now());
             Some(
@@ -368,14 +249,14 @@ fn drive_provider<B: ConcurrentKv + Send + Sync + 'static, R: Rng>(
                     NetConfig {
                         workers: config.clients,
                         max_connections: config.clients + 4,
-                        registry: config.registry.clone(),
+                        registry: Some(registry.clone()),
                         ..NetConfig::default()
                     },
                 )
                 .expect("bind loopback server"),
             )
         }
-        _ => None,
+        DispatchMode::Wire => None,
     };
 
     // Dial every keep-alive client connection *before* the clock
@@ -393,51 +274,37 @@ fn drive_provider<B: ConcurrentKv + Send + Sync + 'static, R: Rng>(
     let start = Instant::now();
     std::thread::scope(|scope| {
         for ((c, reqs), mut transport) in requests.iter().enumerate().zip(transports.drain(..)) {
-            let provider = &provider;
             let service = &service;
             let completed = &completed;
             let histograms = &histograms;
             let samples = &samples;
             scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0xC11E57 + c as u64);
                 for (i, req) in reqs.iter().enumerate() {
                     // The request clone stands in for the client-side
                     // message the caller would already hold; it stays
-                    // outside the timed section so wire/tcp modes
-                    // measure encode → dispatch → decode, nothing else.
-                    let body = match mode {
-                        DispatchMode::InProc => None,
-                        DispatchMode::Wire | DispatchMode::Tcp => {
-                            Some(WireRequest::Purchase(req.clone()))
-                        }
-                    };
+                    // outside the timed section so the run measures
+                    // encode → dispatch → decode, nothing else.
+                    let body = WireRequest::Purchase(req.clone());
                     let t0 = Instant::now();
-                    let ok = match body {
-                        None => provider.handle_purchase(req, epoch, &mut rng).is_ok(),
-                        Some(body) => {
-                            // Correlation id 0 is reserved for server
-                            // pre-decode errors, so the per-request index
-                            // is offset by one.
-                            let corr = ((c as u64) << 32) | (i as u64 + 1);
-                            let envelope = RequestEnvelope {
-                                correlation_id: corr,
-                                body,
-                            };
-                            let request = envelope.to_bytes();
-                            let reply = match &mut transport {
-                                None => service.handle(&request),
-                                Some(t) => {
-                                    use p2drm_core::service::Transport;
-                                    t.roundtrip(corr, &request).expect("loopback tcp roundtrip")
-                                }
-                            };
-                            let envelope = ResponseEnvelope::from_bytes(&reply)
-                                .expect("service replies are well-formed");
-                            matches!(envelope.body, WireResponse::Purchase(_))
+                    // Correlation id 0 is reserved for server pre-decode
+                    // errors, so the per-request index is offset by one.
+                    let corr = ((c as u64) << 32) | (i as u64 + 1);
+                    let request = RequestEnvelope {
+                        correlation_id: corr,
+                        body,
+                    }
+                    .to_bytes();
+                    let reply = match &mut transport {
+                        None => service.handle(&request),
+                        Some(t) => {
+                            use p2drm_core::service::Transport;
+                            t.roundtrip(corr, &request).expect("loopback tcp roundtrip")
                         }
                     };
+                    let envelope = ResponseEnvelope::from_bytes(&reply)
+                        .expect("service replies are well-formed");
                     let dt = t0.elapsed();
-                    if ok {
+                    if matches!(envelope.body, WireResponse::Purchase(_)) {
                         completed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         histograms[c].lock().record_duration(dt);
                         samples[c]
@@ -452,7 +319,7 @@ fn drive_provider<B: ConcurrentKv + Send + Sync + 'static, R: Rng>(
     // Snapshot before shutdown: the TCP server owns its service, whose
     // tracer and `ServerMetrics` are weak sources in the registry —
     // they die with it.
-    let snapshot = config.registry.as_ref().map(|r| r.snapshot());
+    let snapshot = registry.snapshot();
     if let Some(server) = server {
         server.shutdown();
     }
@@ -473,16 +340,10 @@ fn drive_provider<B: ConcurrentKv + Send + Sync + 'static, R: Rng>(
     );
 
     ThroughputResult {
-        clients: config.clients,
-        store_shards: config.store_shards,
-        backend: config.backend.label(),
-        mode: config.mode.label().to_string(),
         completed,
-        wall_secs: wall.as_secs_f64(),
         throughput: completed as f64 / wall.as_secs_f64(),
         latency: merged.summary(),
         median_op_ns,
-        valve: provider.valve_counters(),
         snapshot,
     }
 }
@@ -492,156 +353,56 @@ mod tests {
     use super::*;
     use p2drm_crypto::rng::test_rng;
 
-    #[test]
-    fn throughput_completes_all_purchases() {
-        let mut rng = test_rng(270);
-        let r = purchase_throughput(
+    fn run(
+        clients: usize,
+        store_shards: usize,
+        backend: StoreBackend,
+        mode: DispatchMode,
+        seed: u64,
+    ) -> ThroughputResult {
+        purchase_throughput(
             ThroughputConfig {
-                clients: 2,
+                clients,
                 purchases_per_client: 3,
-                store_shards: 1,
-                backend: StoreBackend::Mem,
-                mode: DispatchMode::InProc,
-                valve_batch: 0,
-                ..ThroughputConfig::default()
+                store_shards,
+                backend,
+                mode,
+                registry: Arc::new(p2drm_obs::Registry::new()),
+                tracing: false,
             },
-            &mut rng,
-        );
-        assert_eq!(r.completed, 6);
-        assert!(r.throughput > 0.0);
-        assert_eq!(r.latency.count, 6);
-        assert_eq!(r.backend, "mem");
-        assert_eq!(r.mode, "in-proc");
-    }
-
-    #[test]
-    fn sharded_store_run_completes() {
-        let mut rng = test_rng(271);
-        let r = purchase_throughput(
-            ThroughputConfig {
-                clients: 4,
-                purchases_per_client: 2,
-                store_shards: 8,
-                backend: StoreBackend::Mem,
-                mode: DispatchMode::InProc,
-                valve_batch: 0,
-                ..ThroughputConfig::default()
-            },
-            &mut rng,
-        );
-        assert_eq!(r.completed, 8);
-        assert_eq!(r.store_shards, 8);
-    }
-
-    #[test]
-    fn valve_enabled_run_completes_and_batches() {
-        let mut rng = test_rng(275);
-        let r = purchase_throughput(
-            ThroughputConfig {
-                clients: 4,
-                purchases_per_client: 2,
-                store_shards: 8,
-                backend: StoreBackend::Mem,
-                mode: DispatchMode::InProc,
-                valve_batch: 2,
-                ..ThroughputConfig::default()
-            },
-            &mut rng,
-        );
-        assert_eq!(r.completed, 8);
-        // Every purchase presents a fresh pseudonym (a cache miss), so
-        // the valve must have flushed at least once — by size when the
-        // threads overlap, by timer otherwise.
-        assert!(
-            r.valve.timer_flushes + r.valve.size_flushes > 0,
-            "valve saw no traffic: {:?}",
-            r.valve
-        );
+            &mut test_rng(seed),
+        )
     }
 
     #[test]
     fn wire_mode_completes_all_purchases() {
-        let mut rng = test_rng(272);
-        let r = purchase_throughput(
-            ThroughputConfig {
-                clients: 2,
-                purchases_per_client: 3,
-                store_shards: 8,
-                backend: StoreBackend::Mem,
-                mode: DispatchMode::Wire,
-                valve_batch: 0,
-                ..ThroughputConfig::default()
-            },
-            &mut rng,
-        );
-        assert_eq!(r.completed, 6);
-        assert_eq!(r.mode, "wire");
+        for store_shards in [1, 8] {
+            let r = run(2, store_shards, StoreBackend::Mem, DispatchMode::Wire, 272);
+            assert_eq!(r.completed, 6);
+            assert!(r.throughput > 0.0);
+            assert_eq!(r.latency.count, 6);
+        }
     }
 
     #[test]
     fn tcp_mode_completes_all_purchases() {
-        let mut rng = test_rng(274);
-        let r = purchase_throughput(
-            ThroughputConfig {
-                clients: 2,
-                purchases_per_client: 3,
-                store_shards: 8,
-                backend: StoreBackend::Mem,
-                mode: DispatchMode::Tcp,
-                valve_batch: 0,
-                ..ThroughputConfig::default()
-            },
-            &mut rng,
-        );
+        let r = run(2, 8, StoreBackend::Mem, DispatchMode::Tcp, 274);
         assert_eq!(r.completed, 6);
-        assert_eq!(r.mode, "tcp");
+        assert!(r
+            .snapshot
+            .entries
+            .iter()
+            .any(|(name, _)| name.starts_with("net_")));
     }
 
     #[test]
     fn wire_mode_works_over_wal_backend() {
-        let mut rng = test_rng(273);
-        let r = purchase_throughput(
-            ThroughputConfig {
-                clients: 2,
-                purchases_per_client: 2,
-                store_shards: 4,
-                backend: StoreBackend::WalSharded(SyncPolicy::Buffered),
-                mode: DispatchMode::Wire,
-                valve_batch: 0,
-                ..ThroughputConfig::default()
-            },
-            &mut rng,
-        );
-        assert_eq!(r.completed, 4);
-        assert_eq!(r.mode, "wire");
-        assert!(r.backend.starts_with("wal-"));
-    }
-
-    #[test]
-    fn wal_backed_run_completes_under_each_policy() {
-        for (i, policy) in [
-            SyncPolicy::Buffered,
-            SyncPolicy::FlushEach,
-            SyncPolicy::SyncEach,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let mut rng = test_rng(280 + i as u64);
-            let r = purchase_throughput(
-                ThroughputConfig {
-                    clients: 2,
-                    purchases_per_client: 2,
-                    store_shards: 4,
-                    backend: StoreBackend::WalSharded(policy),
-                    mode: DispatchMode::InProc,
-                    valve_batch: 0,
-                    ..ThroughputConfig::default()
-                },
-                &mut rng,
-            );
-            assert_eq!(r.completed, 4, "{policy:?}");
-            assert!(r.backend.starts_with("wal-"));
-        }
+        let r = run(2, 4, StoreBackend::Wal, DispatchMode::Wire, 273);
+        assert_eq!(r.completed, 6);
+        assert!(r
+            .snapshot
+            .entries
+            .iter()
+            .any(|(name, _)| name.starts_with("store_")));
     }
 }

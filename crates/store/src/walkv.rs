@@ -132,7 +132,7 @@ impl WalKv {
         &self.path
     }
 
-    /// Current log length in bytes (for the storage-growth experiment E6).
+    /// Current log length in bytes (a storage-growth metric).
     pub fn log_bytes(&self) -> u64 {
         self.writer.len()
     }

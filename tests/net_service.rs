@@ -568,10 +568,18 @@ fn unknown_and_duplicate_correlation_ids_poison_the_channel() {
 
 /// The event loop's gauges: idle keep-alive connections are visible as
 /// `idle_connections`, and pipelining on one connection is recorded in
-/// `pipeline_depth_hwm`.
+/// `pipeline_depth_hwm`. Runs with one and with hundreds of extra idle
+/// connections: every one is admitted, counted, and drained on shutdown.
 #[test]
 fn idle_gauge_and_pipeline_high_water_are_tracked() {
+    for extra_idle in [1, 200] {
+        check_idle_gauge_and_pipeline_high_water(extra_idle);
+    }
+}
+
+fn check_idle_gauge_and_pipeline_high_water(extra_idle: usize) {
     use p2drm::core::service::correlation_hint;
+    use p2drm::net::ClientConfig;
 
     // A deliberately slow echo service so all four pipelined requests
     // are dispatched before the first reply lands.
@@ -584,23 +592,37 @@ fn idle_gauge_and_pipeline_high_water_are_tracked() {
         slow,
         NetConfig {
             workers: 2,
+            max_connections: extra_idle + 8,
             ..NetConfig::fast_test()
         },
     )
     .expect("bind");
     let addr = server.local_addr();
+    let connections = extra_idle as u64 + 1;
 
     let busy = TcpTransport::connect(addr).expect("connect");
-    let watcher = TcpTransport::connect(addr).expect("connect");
-    let _ = watcher; // held open, never used: a pure keep-alive fd
+    // Held open, never used: pure keep-alive fds. Rapid loopback dials
+    // can momentarily overflow the listen backlog, hence the retries.
+    let dial = ClientConfig {
+        connect_retries: 8,
+        retry_backoff: Duration::from_millis(5),
+        ..ClientConfig::default()
+    };
+    let idle: Vec<TcpTransport> = (0..extra_idle)
+        .map(|_| TcpTransport::connect_with(addr, dial.clone()).expect("connect"))
+        .collect();
 
-    // Both connections admitted and idle.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while server.metrics().idle_connections < 2 {
-        assert!(Instant::now() < deadline, "idle gauge never reached 2");
+    // Every connection admitted and idle.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.metrics().idle_connections < connections {
+        assert!(
+            Instant::now() < deadline,
+            "idle gauge never reached {connections}: {}",
+            server.metrics()
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(server.metrics().active_connections, 2);
+    assert_eq!(server.metrics().active_connections, connections);
 
     // Pipeline four requests; the workers are asleep, so the connection's
     // in-flight depth must reach 4 before the first reply.
@@ -624,12 +646,13 @@ fn idle_gauge_and_pipeline_high_water_are_tracked() {
 
     // Fully drained: the busy connection is idle again.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while server.metrics().idle_connections < 2 {
+    while server.metrics().idle_connections < connections {
         assert!(Instant::now() < deadline, "idle gauge never recovered");
         std::thread::sleep(Duration::from_millis(5));
     }
 
     let metrics = server.shutdown();
+    drop(idle);
     assert_eq!(metrics.requests_served, 4);
     assert_eq!(
         metrics.pipeline_depth_hwm, 4,

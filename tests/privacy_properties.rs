@@ -1,6 +1,6 @@
 //! Cross-crate privacy property tests — the paper's claims as assertions.
 //!
-//! Each test corresponds to a row of the claims table in DESIGN.md §4.3.
+//! Each test states one of the paper's privacy claims.
 
 use p2drm::core::audit::Party;
 use p2drm::prelude::*;
