@@ -37,12 +37,8 @@
 //!
 //! The backend type parameter picks the deployment shape:
 //!
-//! * [`ShardedKv`]`<MemKv>` (the [`MemBackend`] default,
-//!   [`ContentProvider::new`]) — volatile, lock-sharded; tests and
-//!   simulations;
-//! * [`ShardedKv`]`<S>` over a caller-supplied store
-//!   ([`ContentProvider::with_store`]) — e.g. one `WalKv` as a
-//!   single-shard durable store;
+//! * [`ShardedKv`] (the default, [`ContentProvider::new`]) — volatile,
+//!   lock-sharded; tests and simulations;
 //! * [`WalShardedKv`] ([`ContentProvider::open_durable`]) — the
 //!   production shape: per-shard WALs with group commit, so the provider
 //!   survives an unclean drop. Reopen with
@@ -69,15 +65,10 @@ use p2drm_pki::cert::{digest_id, Certificate, KeyId, PseudonymCertificate};
 use p2drm_pki::crl::{RevocationList, SignedCrl};
 use p2drm_rel::{Limit, Rights};
 use p2drm_store::typed::Table;
-use p2drm_store::{
-    ConcurrentKv, Kv, MemKv, RecoveryReport, ShardedKv, WalShardedConfig, WalShardedKv,
-};
+use p2drm_store::{ConcurrentKv, MemKv, RecoveryReport, ShardedKv, WalShardedConfig, WalShardedKv};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::path::PathBuf;
-
-/// The default volatile backend: lock-sharded in-memory store.
-pub type MemBackend = ShardedKv<MemKv>;
 
 /// Provider construction parameters.
 #[derive(Clone, Debug)]
@@ -88,9 +79,8 @@ pub struct ProviderConfig {
     pub epoch_window: u32,
     /// Certificate validity window.
     pub validity: p2drm_pki::cert::Validity,
-    /// Lock shards for the default in-memory store (ignored by
-    /// [`ContentProvider::with_store`], which wraps the caller's single
-    /// store).
+    /// Lock shards for the default in-memory store built by
+    /// [`ContentProvider::new`].
     pub store_shards: usize,
     /// Entry bound of the signature-verification cache consulted by
     /// [`ContentProvider::verify_pseudonym`] and the attribute-credential
@@ -213,7 +203,7 @@ pub struct ProviderState<B: ConcurrentKv> {
 }
 
 /// The content provider, generic over its [`ConcurrentKv`] store backend.
-pub struct ContentProvider<B: ConcurrentKv = MemBackend> {
+pub struct ContentProvider<B: ConcurrentKv = ShardedKv> {
     core: ProviderCore,
     state: ProviderState<B>,
 }
@@ -233,7 +223,7 @@ impl<B: ConcurrentKv> p2drm_obs::MetricSource for ContentProvider<B> {
     }
 }
 
-impl ContentProvider<MemBackend> {
+impl ContentProvider<ShardedKv> {
     /// Provider with a volatile store, lock-sharded per
     /// [`ProviderConfig::store_shards`].
     pub fn new<R: CryptoRng + ?Sized>(
@@ -251,69 +241,6 @@ impl ContentProvider<MemBackend> {
             ShardedKv::new_with(shards, |_| MemKv::new()),
             config,
             rng,
-        )
-    }
-}
-
-impl<S: Kv> ContentProvider<ShardedKv<S>> {
-    /// Provider over a caller-supplied store (e.g. [`p2drm_store::WalKv`]
-    /// so the spent-ID set survives restarts). The single store becomes a
-    /// one-shard [`ShardedKv`]: durability and recovery semantics are
-    /// untouched, all operations still serialize through its lock.
-    pub fn with_store<R: CryptoRng + ?Sized>(
-        root: &mut CertificateAuthority,
-        mint: Mint,
-        ra_blind_key: RsaPublicKey,
-        store: S,
-        config: ProviderConfig,
-        rng: &mut R,
-    ) -> Self {
-        Self::with_backend(
-            root,
-            mint,
-            ra_blind_key,
-            ShardedKv::single(store),
-            config,
-            rng,
-        )
-    }
-
-    /// Provider over an explicitly sharded store.
-    pub fn with_sharded_store<R: CryptoRng + ?Sized>(
-        root: &mut CertificateAuthority,
-        mint: Mint,
-        ra_blind_key: RsaPublicKey,
-        store: ShardedKv<S>,
-        config: ProviderConfig,
-        rng: &mut R,
-    ) -> Self {
-        Self::with_backend(root, mint, ra_blind_key, store, config, rng)
-    }
-
-    /// Restarts a provider from its persisted state: the serialized key
-    /// pair + certificate (the operator's key vault) and the durable store
-    /// holding catalog, licenses, spent ids and CRLs.
-    ///
-    /// After resume, previously issued licenses still verify, previously
-    /// spent license ids are still rejected, and CRL sequence numbers
-    /// continue monotonically.
-    pub fn resume(
-        keys: p2drm_crypto::rsa::RsaKeyPair,
-        cert: Certificate,
-        root_key: RsaPublicKey,
-        mint: Mint,
-        ra_blind_key: RsaPublicKey,
-        store: S,
-        config: ProviderConfig,
-    ) -> Result<Self, CoreError> {
-        Self::resume_backend(
-            keys,
-            cert,
-            root_key,
-            mint,
-            ra_blind_key,
-            ShardedKv::single(store),
-            config,
         )
     }
 }
@@ -369,10 +296,9 @@ impl ContentProvider<WalShardedKv> {
 
 impl<B: ConcurrentKv> ContentProvider<B> {
     /// Provider over any concurrent store backend — the most general
-    /// constructor ([`ContentProvider::new`], [`with_store`] and
-    /// [`open_durable`] are conveniences over it).
+    /// constructor ([`ContentProvider::new`] and [`open_durable`] are
+    /// conveniences over it).
     ///
-    /// [`with_store`]: ContentProvider::with_store
     /// [`open_durable`]: ContentProvider::open_durable
     pub fn with_backend<R: CryptoRng + ?Sized>(
         root: &mut CertificateAuthority,
@@ -466,12 +392,12 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             let state = &self.state;
             let mut catalog = state.catalog.write();
             let mut templates = state.rights_templates.write();
-            for (_, item) in state.content_table.scan_shared(&state.store)? {
+            for (_, item) in state.content_table.scan(&state.store)? {
                 templates.insert(
                     item.meta.id,
                     state
                         .rights_table
-                        .get_shared(&state.store, item.meta.id.as_bytes())?
+                        .get(&state.store, item.meta.id.as_bytes())?
                         .unwrap_or_else(Rights::standard_purchase),
                 );
                 catalog.restore(item);
@@ -484,7 +410,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             let mut crl = state.crl.write();
             crl.license_crl_events.clear();
             crl.pseudonym_crl_events.clear();
-            for (key, seq) in state.crl_table.scan_shared(&state.store)? {
+            for (key, seq) in state.crl_table.scan(&state.store)? {
                 if let Some(id_bytes) = key.strip_prefix(b"l/") {
                     if id_bytes.len() == 32 {
                         let id = KeyId(id_bytes.try_into().expect("checked width"));
@@ -508,7 +434,8 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     }
 
     /// Serialized private key material for the operator's key vault
-    /// (pair this with [`ContentProvider::resume`]). **Secret bytes.**
+    /// (pair this with [`ContentProvider::resume_backend`] or
+    /// [`ContentProvider::resume_durable`]). **Secret bytes.**
     pub fn export_keys(&self) -> Vec<u8> {
         p2drm_codec::to_bytes(&self.core.keys)
     }
@@ -541,7 +468,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         key.extend_from_slice(&id.0);
         self.state
             .crl_table
-            .put_shared(&self.state.store, &key, &(*seq + 1))?;
+            .put(&self.state.store, &key, &(*seq + 1))?;
         *seq += 1;
         list.insert(id);
         events.push((*seq, id));
@@ -560,7 +487,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
 
     /// Publishes content with a rights template applied to every sale.
     /// The packaged item (including its content key) and the template are
-    /// persisted so the catalog survives [`ContentProvider::resume`].
+    /// persisted so the catalog survives [`ContentProvider::resume_backend`].
     pub fn publish<R: CryptoRng + ?Sized>(
         &self,
         title: impl Into<String>,
@@ -607,11 +534,11 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         let item = catalog.get(&id).expect("just published");
         self.state
             .content_table
-            .put_shared(&self.state.store, id.as_bytes(), item)
+            .put(&self.state.store, id.as_bytes(), item)
             .expect("catalog persistence");
         self.state
             .rights_table
-            .put_shared(&self.state.store, id.as_bytes(), &rights)
+            .put(&self.state.store, id.as_bytes(), &rights)
             .expect("template persistence");
         self.state.rights_templates.write().insert(id, rights);
         id
@@ -775,7 +702,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         }
         // lint: secret(lid)
         let lid = self.derived_license_id(b'p', &req.coin.serial);
-        if let Some(license) = self.state.licenses.get_shared(&self.state.store, &lid.0)? {
+        if let Some(license) = self.state.licenses.get(&self.state.store, &lid.0)? {
             return Ok(license);
         }
         let content_key = self.content_key(&req.content_id)?;
@@ -862,10 +789,10 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         let license = License::issue(body, &self.core.keys);
         let lid = license.id();
         let table = &self.state.licenses;
-        if table.insert_if_absent_shared(&self.state.store, &lid.0, &license)? {
+        if table.insert_if_absent(&self.state.store, &lid.0, &license)? {
             return Ok((license, true));
         }
-        let stored = table.get_shared(&self.state.store, &lid.0)?;
+        let stored = table.get(&self.state.store, &lid.0)?;
         Ok((stored.ok_or(CoreError::UnknownLicense(lid))?, false))
     }
 
@@ -915,11 +842,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
 
         // lint: secret(successor)
         let successor = self.derived_license_id(b't', lid.as_bytes());
-        if let Some(license) = self
-            .state
-            .licenses
-            .get_shared(&self.state.store, &successor.0)?
-        {
+        if let Some(license) = self.state.licenses.get(&self.state.store, &successor.0)? {
             return Ok(license);
         }
         let old = &req.license.body;
@@ -945,10 +868,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     }
 
     fn is_transfer_replay(&self, lid: &LicenseId, digest: &[u8; 32]) -> Result<bool, CoreError> {
-        let spent = self
-            .state
-            .spent
-            .get_shared(&self.state.store, lid.as_bytes())?;
+        let spent = self.state.spent.get(&self.state.store, lid.as_bytes())?;
         Ok(spent.as_deref() == Some(&digest[..]))
     }
 
@@ -996,10 +916,10 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             .map_err(|_| CoreError::BadProof)?;
 
         // The unique-ID rule: exactly one transfer of this lid ever
-        // succeeds, atomically, even across restarts (WalKv-backed store)
+        // succeeds, atomically, even across restarts (WAL-backed store)
         // and across threads (check-and-set under the shard write lock).
         // An identical request may have claimed it concurrently.
-        let fresh = self.state.spent.insert_if_absent_shared(
+        let fresh = self.state.spent.insert_if_absent(
             &self.state.store,
             lid.as_bytes(),
             &digest.to_vec(),
@@ -1052,7 +972,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         let digest = purchase_digest(&coin.serial, &content_id, &manager);
         self.state.mint.deposit(coin, &digest)?;
         let lid = self.derived_license_id(b'p', &coin.serial);
-        if let Some(license) = self.state.licenses.get_shared(&self.state.store, &lid.0)? {
+        if let Some(license) = self.state.licenses.get(&self.state.store, &lid.0)? {
             return Ok(license);
         }
         let mut rights = self.rights_for(&content_id);
@@ -1102,11 +1022,10 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         // pass the CRL fast-path read just before the revocation commits
         // and re-issue revoked content. An empty record marks "revoked,
         // not transferred" (transfers store their digest).
-        let _ = self.state.spent.insert_if_absent_shared(
-            &self.state.store,
-            lid.as_bytes(),
-            &Vec::new(),
-        )?;
+        let _ =
+            self.state
+                .spent
+                .insert_if_absent(&self.state.store, lid.as_bytes(), &Vec::new())?;
         self.revoke_in_crl(b'l', license_crl_id(lid))
     }
 
@@ -1118,11 +1037,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         // The spent table is the authoritative exactly-once record; its
         // value distinguishes a committed transfer (the transfer digest)
         // from a direct revocation (empty, see `revoke_license`).
-        if let Ok(Some(mark)) = self
-            .state
-            .spent
-            .get_shared(&self.state.store, lid.as_bytes())
-        {
+        if let Ok(Some(mark)) = self.state.spent.get(&self.state.store, lid.as_bytes()) {
             return if mark.is_empty() {
                 LicenseStatus::Revoked
             } else {
@@ -1138,11 +1053,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         {
             return LicenseStatus::Revoked;
         }
-        match self
-            .state
-            .licenses
-            .get_shared(&self.state.store, lid.as_bytes())
-        {
+        match self.state.licenses.get(&self.state.store, lid.as_bytes()) {
             Ok(Some(license)) => LicenseStatus::Active {
                 holder: KeyId::of_rsa(&license.body.holder),
             },
@@ -1215,13 +1126,13 @@ impl<B: ConcurrentKv> ContentProvider<B> {
 
     /// Licenses issued so far.
     pub fn license_count(&self) -> usize {
-        self.state.licenses.len_shared(&self.state.store)
+        self.state.licenses.len(&self.state.store)
     }
 
     /// Spent license ids so far: transferred/redeemed or directly
     /// revoked — every id that can never be redeemed again.
     pub fn spent_count(&self) -> usize {
-        self.state.spent.len_shared(&self.state.store)
+        self.state.spent.len(&self.state.store)
     }
 
     /// Snapshot of the adversarial-provider purchase view.
@@ -1235,7 +1146,6 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     }
 
     /// Direct backend access (storage metrics in E2, maintenance such as
-    /// compaction via [`ShardedKv::for_each_shard`] or
     /// [`WalShardedKv::compact_all`]).
     pub fn store(&self) -> &B {
         &self.state.store
@@ -1299,8 +1209,7 @@ mod tests {
     #[test]
     fn provider_is_sync_over_sync_backends() {
         fn assert_sync<T: Sync>() {}
-        assert_sync::<ContentProvider<MemBackend>>();
-        assert_sync::<ContentProvider<ShardedKv<p2drm_store::WalKv>>>();
+        assert_sync::<ContentProvider<ShardedKv>>();
         assert_sync::<ContentProvider<WalShardedKv>>();
     }
 }

@@ -45,7 +45,7 @@
 //! [`ProviderService::handle`]`(&self, &[u8]) -> Vec<u8>`, shared by N
 //! threads — it decodes, dispatches onto the `&self` concurrent
 //! [`ContentProvider`]/[`RegistrationAuthority`] paths (generic over the
-//! store backend, so it serves `MemBackend` and `WalShardedKv` alike) and
+//! store backend, so it serves `ShardedKv` and `WalShardedKv` alike) and
 //! encodes the reply. [`WireClient`] is the typed caller: it frames
 //! envelopes over a [`Transport`] (an in-proc [`Loopback`] is provided)
 //! and runs the multi-round flows as explicit session state machines
@@ -76,7 +76,7 @@
 
 use crate::content::ContentMeta;
 use crate::entities::device::{challenge_message, CompliantDevice};
-use crate::entities::provider::{ContentProvider, MemBackend};
+use crate::entities::provider::ContentProvider;
 use crate::entities::ra::RegistrationAuthority;
 use crate::entities::user::UserAgent;
 use crate::ids::{ContentId, LicenseId};
@@ -102,7 +102,7 @@ use p2drm_obs::{
 use p2drm_payment::Mint;
 use p2drm_pki::cert::{AttributeCertBody, KeyId, PseudonymCertBody, PseudonymCertificate};
 use p2drm_rel::AccessRequest;
-use p2drm_store::{ConcurrentKv, Kv};
+use p2drm_store::{ConcurrentKv, ShardedKv};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -862,7 +862,7 @@ impl ServiceStats {
 /// shared `&self` provider (and RA, when attached) and encodes replies.
 ///
 /// Generic over the provider's [`ConcurrentKv`] backend, so the same
-/// service fronts the volatile [`MemBackend`] and the durable
+/// service fronts the volatile [`ShardedKv`] and the durable
 /// [`WalShardedKv`](p2drm_store::WalShardedKv). All entry points take
 /// `&self`; the service is `Sync` whenever the backend is, so N transport
 /// threads share one instance.
@@ -875,7 +875,7 @@ impl ServiceStats {
 /// a self-contained value: hand it to a transport server that spawns its
 /// own threads (`p2drm-net`'s `DrmServer` does exactly that) while the
 /// caller keeps its own handles to the same provider for inspection.
-pub struct ProviderService<B: ConcurrentKv = MemBackend> {
+pub struct ProviderService<B: ConcurrentKv = ShardedKv> {
     provider: Arc<ContentProvider<B>>,
     ra: Option<Arc<RegistrationAuthority>>,
     epoch: AtomicU32,
@@ -2061,7 +2061,7 @@ impl<T: Transport> WireClient<T> {
     /// Plays a license on a device: the challenge/proof/key-release
     /// rounds run locally between device and card, only the anonymous
     /// download crosses the wire.
-    pub fn play<SD: Kv, R: CryptoRng + ?Sized>(
+    pub fn play<SD: ConcurrentKv, R: CryptoRng + ?Sized>(
         &mut self,
         user: &UserAgent,
         device: &mut CompliantDevice<SD>,
@@ -2077,7 +2077,10 @@ impl<T: Transport> WireClient<T> {
     }
 
     /// Synchronizes the device's CRLs from the service.
-    pub fn sync_crls<SD: Kv>(&mut self, device: &mut CompliantDevice<SD>) -> Result<(), WireError> {
+    pub fn sync_crls<SD: ConcurrentKv>(
+        &mut self,
+        device: &mut CompliantDevice<SD>,
+    ) -> Result<(), WireError> {
         let request = CrlSyncRequest {
             license_seq: device.crl_sequence(),
             pseudonym_seq: 0,
@@ -2403,7 +2406,7 @@ impl PlaySession {
     /// Local rounds: holder challenge, card proof, device compliance
     /// check, key release. Returns the single message that crosses the
     /// wire.
-    pub fn begin<SD: Kv, R: CryptoRng + ?Sized>(
+    pub fn begin<SD: ConcurrentKv, R: CryptoRng + ?Sized>(
         user: &UserAgent,
         device: &mut CompliantDevice<SD>,
         license: &License,
@@ -2448,7 +2451,7 @@ impl PlaySession {
 
     /// Decrypts the downloaded payload and consumes the play on the
     /// device.
-    pub fn finish<SD: Kv>(
+    pub fn finish<SD: ConcurrentKv>(
         self,
         device: &mut CompliantDevice<SD>,
         response: &DownloadResponse,

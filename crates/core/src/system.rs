@@ -3,7 +3,7 @@
 //! the convenience flows the examples, tests and benchmarks build on.
 
 use crate::entities::device::CompliantDevice;
-use crate::entities::provider::{ContentProvider, MemBackend, ProviderConfig};
+use crate::entities::provider::{ContentProvider, ProviderConfig};
 use crate::entities::ra::RegistrationAuthority;
 use crate::entities::smartcard::CardBudget;
 use crate::entities::ttp::Ttp;
@@ -73,9 +73,9 @@ impl SystemConfig {
 }
 
 /// The wired system, generic over the provider's store backend (the
-/// volatile lock-sharded [`MemBackend`] by default; see
+/// volatile lock-sharded [`p2drm_store::ShardedKv`] by default; see
 /// [`System::bootstrap_durable`] for the WAL-backed shape).
-pub struct System<B: p2drm_store::ConcurrentKv = MemBackend> {
+pub struct System<B: p2drm_store::ConcurrentKv = p2drm_store::ShardedKv> {
     /// Root certificate authority (trust anchor).
     pub root: CertificateAuthority,
     /// Registration authority (shared handle — every entry point takes

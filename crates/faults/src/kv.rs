@@ -107,11 +107,11 @@ impl<S: ConcurrentKv> ConcurrentKv for FaultKv<S> {
 mod tests {
     use super::*;
     use crate::Schedule;
-    use p2drm_store::{MemKv, ShardedKv};
+    use p2drm_store::MemKv;
 
     #[test]
     fn passthrough_when_unconfigured() {
-        let kv = FaultKv::new(ShardedKv::single(MemKv::new()), Arc::new(FaultPlan::new(1)));
+        let kv = FaultKv::new(MemKv::new(), Arc::new(FaultPlan::new(1)));
         kv.put(b"a", b"1").unwrap();
         assert!(kv.insert_if_absent(b"b", b"2").unwrap());
         assert_eq!(kv.get(b"a"), Some(b"1".to_vec()));
@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn injected_put_failure_is_fail_stop() {
         let plan = Arc::new(FaultPlan::new(1).with(sites::FAIL_PUT, Schedule::OneShot(2)));
-        let kv = FaultKv::new(ShardedKv::single(MemKv::new()), plan);
+        let kv = FaultKv::new(MemKv::new(), plan);
         kv.put(b"a", b"1").unwrap();
         assert!(kv.put(b"a", b"2").is_err(), "second put injected to fail");
         assert_eq!(
@@ -142,7 +142,7 @@ mod tests {
                 .with(sites::FAIL_INSERT, Schedule::OneShot(1))
                 .with(sites::FAIL_FLUSH, Schedule::OneShot(1)),
         );
-        let kv = FaultKv::new(ShardedKv::single(MemKv::new()), plan);
+        let kv = FaultKv::new(MemKv::new(), plan);
         assert!(kv.insert_if_absent(b"k", b"v").is_err());
         assert!(!kv.contains(b"k"), "failed insert not applied");
         assert!(kv.flush().is_err());

@@ -62,7 +62,7 @@ struct MintInner<S: ConcurrentKv> {
 }
 
 /// Shareable mint handle.
-pub struct Mint<S: ConcurrentKv = ShardedKv<MemKv>> {
+pub struct Mint<S: ConcurrentKv = ShardedKv> {
     inner: Arc<MintInner<S>>,
 }
 

@@ -32,7 +32,7 @@ use std::time::Instant;
 /// Which store backend the provider under test runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StoreBackend {
-    /// Volatile lock-sharded store (`ShardedKv<MemKv>`) — the upper
+    /// Volatile lock-sharded store (`ShardedKv`) — the upper
     /// bound: no durability cost.
     Mem,
     /// WAL-backed sharded store (`WalShardedKv`) under

@@ -3,7 +3,8 @@
 //! Frame layout: `[len: u32 LE][crc32(payload): u32 LE][payload]`.
 //! On replay, the first frame that fails its length or CRC check marks the
 //! torn tail: everything before it is returned, and the caller may truncate
-//! the file to that offset (what [`crate::WalKv`] does on open).
+//! the file to that offset (what each [`crate::WalShardedKv`] shard does on
+//! open).
 
 use crate::StoreError;
 use p2drm_codec::crc32::crc32;
@@ -32,8 +33,15 @@ impl LogWriter {
     }
 
     /// Appends one record, returning its starting offset.
+    /// A payload over [`MAX_FRAME`] bytes is refused with
+    /// [`StoreError::Corrupt`] and nothing is written.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
-        assert!(payload.len() as u64 <= MAX_FRAME as u64, "oversized record");
+        if payload.len() as u64 > MAX_FRAME as u64 {
+            return Err(StoreError::Corrupt {
+                offset: self.offset,
+                detail: format!("record of {} bytes exceeds MAX_FRAME", payload.len()),
+            });
+        }
         let start = self.offset;
         self.out.write_all(&(payload.len() as u32).to_le_bytes())?;
         self.out.write_all(&crc32(payload).to_le_bytes())?;
@@ -109,17 +117,22 @@ pub fn replay(path: &Path) -> Result<Replay, StoreError> {
     let mut pos: usize = 0;
     let torn;
     loop {
-        if pos + 8 > buf.len() {
+        let Some(header) = buf.get(pos..pos + 8) else {
             torn = pos != buf.len();
             break;
-        }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-        if len > MAX_FRAME || pos + 8 + len as usize > buf.len() {
-            torn = true;
-            break;
-        }
-        let payload = &buf[pos + 8..pos + 8 + len as usize];
+        };
+        let (len_bytes, crc_bytes) = header.split_at(4);
+        // lint: allow(panic, split_at(4) of the 8-byte header leaves two 4-byte halves)
+        let len = u32::from_le_bytes(len_bytes.try_into().expect("4-byte field"));
+        // lint: allow(panic, split_at(4) of the 8-byte header leaves two 4-byte halves)
+        let crc = u32::from_le_bytes(crc_bytes.try_into().expect("4-byte field"));
+        let payload = match buf.get(pos + 8..pos + 8 + len as usize) {
+            Some(payload) if len <= MAX_FRAME => payload,
+            _ => {
+                torn = true;
+                break;
+            }
+        };
         if crc32(payload) != crc {
             torn = true;
             break;
@@ -175,35 +188,11 @@ pub fn corrupt_at(path: &Path, offset: u64, bytes: &[u8]) -> Result<(), StoreErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    /// Self-cleaning unique temp path (no external tempfile crate offline).
-    pub struct TempPath(pub PathBuf);
-
-    impl TempPath {
-        pub fn new(tag: &str) -> Self {
-            static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-            let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let p = std::env::temp_dir().join(format!(
-                "p2drm-log-test-{}-{}-{}",
-                std::process::id(),
-                tag,
-                n
-            ));
-            let _ = std::fs::remove_file(&p);
-            TempPath(p)
-        }
-    }
-
-    impl Drop for TempPath {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_file(&self.0);
-        }
-    }
+    use crate::testutil::TempPath;
 
     #[test]
     fn append_replay_roundtrip() {
-        let tmp = TempPath::new("roundtrip");
+        let tmp = TempPath::new("log-roundtrip");
         let mut w = LogWriter::open(&tmp.0).unwrap();
         let recs: Vec<Vec<u8>> = (0..100u32).map(|i| i.to_le_bytes().to_vec()).collect();
         for r in &recs {
@@ -218,7 +207,7 @@ mod tests {
 
     #[test]
     fn missing_file_replays_empty() {
-        let tmp = TempPath::new("missing");
+        let tmp = TempPath::new("log-missing");
         let r = replay(&tmp.0).unwrap();
         assert!(r.records.is_empty());
         assert!(!r.torn_tail);
@@ -226,7 +215,7 @@ mod tests {
 
     #[test]
     fn empty_record_ok() {
-        let tmp = TempPath::new("empty-rec");
+        let tmp = TempPath::new("log-empty-rec");
         let mut w = LogWriter::open(&tmp.0).unwrap();
         w.append(b"").unwrap();
         w.append(b"x").unwrap();
@@ -237,7 +226,7 @@ mod tests {
 
     #[test]
     fn torn_tail_detected_and_truncated() {
-        let tmp = TempPath::new("torn");
+        let tmp = TempPath::new("log-torn");
         let mut w = LogWriter::open(&tmp.0).unwrap();
         w.append(b"first").unwrap();
         let second_at = w.append(b"second").unwrap();
@@ -264,7 +253,7 @@ mod tests {
 
     #[test]
     fn bitflip_in_payload_detected() {
-        let tmp = TempPath::new("bitflip");
+        let tmp = TempPath::new("log-bitflip");
         let mut w = LogWriter::open(&tmp.0).unwrap();
         let first_at = w.append(b"aaaaaaa").unwrap();
         w.append(b"bbbbbbb").unwrap();
@@ -278,7 +267,7 @@ mod tests {
 
     #[test]
     fn absurd_length_field_detected() {
-        let tmp = TempPath::new("badlen");
+        let tmp = TempPath::new("log-badlen");
         let mut w = LogWriter::open(&tmp.0).unwrap();
         w.append(b"ok").unwrap();
         w.flush().unwrap();
@@ -294,8 +283,20 @@ mod tests {
     }
 
     #[test]
+    fn oversized_record_is_an_error_and_writes_nothing() {
+        let tmp = TempPath::new("log-oversized");
+        let mut w = LogWriter::open(&tmp.0).unwrap();
+        let huge = vec![0u8; MAX_FRAME as usize + 1];
+        assert!(matches!(w.append(&huge), Err(StoreError::Corrupt { .. })));
+        assert!(w.is_empty());
+        w.append(b"ok").unwrap();
+        w.flush().unwrap();
+        assert_eq!(replay(&tmp.0).unwrap().records, vec![b"ok".to_vec()]);
+    }
+
+    #[test]
     fn rewrite_compacts() {
-        let tmp = TempPath::new("rewrite");
+        let tmp = TempPath::new("log-rewrite");
         let mut w = LogWriter::open(&tmp.0).unwrap();
         for i in 0..10u8 {
             w.append(&[i]).unwrap();
@@ -310,7 +311,7 @@ mod tests {
 
     #[test]
     fn reopen_appends_after_existing() {
-        let tmp = TempPath::new("reopen");
+        let tmp = TempPath::new("log-reopen");
         {
             let mut w = LogWriter::open(&tmp.0).unwrap();
             w.append(b"one").unwrap();

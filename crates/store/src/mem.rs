@@ -1,12 +1,14 @@
 //! Volatile `BTreeMap`-backed store for tests and simulation.
 
-use crate::{Kv, StoreError};
+use crate::{ConcurrentKv, StoreError};
+use parking_lot::RwLock;
 use std::collections::BTreeMap;
 
-/// In-memory ordered KV store.
-#[derive(Default, Debug, Clone)]
+/// In-memory ordered KV store behind one lock: the volatile device store
+/// and the shard a [`crate::ShardedKv`] is built from.
+#[derive(Default, Debug)]
 pub struct MemKv {
-    map: BTreeMap<Vec<u8>, Vec<u8>>,
+    map: RwLock<BTreeMap<Vec<u8>, Vec<u8>>>,
 }
 
 impl MemKv {
@@ -16,22 +18,35 @@ impl MemKv {
     }
 }
 
-impl Kv for MemKv {
+impl ConcurrentKv for MemKv {
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.map.get(key).cloned()
+        self.map.read().get(key).cloned()
     }
 
-    fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.map.insert(key.to_vec(), value.to_vec());
+    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+        self.map.write().insert(key.to_vec(), value.to_vec());
         Ok(())
     }
 
-    fn delete(&mut self, key: &[u8]) -> Result<bool, StoreError> {
-        Ok(self.map.remove(key).is_some())
+    fn delete(&self, key: &[u8]) -> Result<bool, StoreError> {
+        Ok(self.map.write().remove(key).is_some())
+    }
+
+    /// Single map-entry probe under the write lock: the check and the
+    /// insert are one operation, never a racy contains-then-put.
+    fn insert_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool, StoreError> {
+        match self.map.write().entry(key.to_vec()) {
+            std::collections::btree_map::Entry::Occupied(_) => Ok(false),
+            std::collections::btree_map::Entry::Vacant(e) => {
+                e.insert(value.to_vec());
+                Ok(true)
+            }
+        }
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         self.map
+            .read()
             .range(prefix.to_vec()..)
             .take_while(|(k, _)| k.starts_with(prefix))
             .map(|(k, v)| (k.clone(), v.clone()))
@@ -39,19 +54,15 @@ impl Kv for MemKv {
     }
 
     fn len(&self) -> usize {
-        self.map.len()
+        self.map.read().len()
     }
 
-    /// Single map-entry probe: the check and the insert are one operation
-    /// on the underlying `BTreeMap`, never a racy contains-then-put.
-    fn insert_if_absent(&mut self, key: &[u8], value: &[u8]) -> Result<bool, StoreError> {
-        match self.map.entry(key.to_vec()) {
-            std::collections::btree_map::Entry::Occupied(_) => Ok(false),
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(value.to_vec());
-                Ok(true)
-            }
-        }
+    fn contains(&self, key: &[u8]) -> bool {
+        self.map.read().contains_key(key)
+    }
+
+    fn flush(&self) -> Result<(), StoreError> {
+        Ok(())
     }
 }
 
@@ -61,7 +72,7 @@ mod tests {
 
     #[test]
     fn crud() {
-        let mut kv = MemKv::new();
+        let kv = MemKv::new();
         assert!(kv.is_empty());
         kv.put(b"k1", b"v1").unwrap();
         kv.put(b"k1", b"v2").unwrap(); // overwrite
@@ -74,7 +85,7 @@ mod tests {
 
     #[test]
     fn prefix_scan_ordered_and_bounded() {
-        let mut kv = MemKv::new();
+        let kv = MemKv::new();
         for k in ["a/1", "a/2", "a/30", "b/1", ""] {
             kv.put(k.as_bytes(), b"x").unwrap();
         }
@@ -92,7 +103,7 @@ mod tests {
 
     #[test]
     fn insert_if_absent_semantics() {
-        let mut kv = MemKv::new();
+        let kv = MemKv::new();
         assert!(kv.insert_if_absent(b"spent/42", b"a").unwrap());
         assert!(!kv.insert_if_absent(b"spent/42", b"b").unwrap());
         // Original value preserved on refusal.

@@ -1,14 +1,12 @@
-//! Typed views over a [`Kv`]: values encode/decode through the canonical
-//! codec under a fixed key prefix, giving each logical table its own
-//! namespace inside one store. The `*_shared` variants operate over a
-//! [`ConcurrentKv`] handle (e.g. [`crate::ShardedKv`]) so many threads can
-//! use one table through `&self`.
+//! Typed views over a [`ConcurrentKv`]: values encode/decode through the
+//! canonical codec under a fixed key prefix, giving each logical table its
+//! own namespace inside one store that many threads share through `&self`.
 
-use crate::{ConcurrentKv, Kv, StoreError};
+use crate::{ConcurrentKv, StoreError};
 use p2drm_codec::{from_bytes, to_bytes, Decode, Encode};
 use std::marker::PhantomData;
 
-/// A typed, prefix-namespaced table inside a [`Kv`].
+/// A typed, prefix-namespaced table inside a [`ConcurrentKv`].
 pub struct Table<V> {
     prefix: Vec<u8>,
     _marker: PhantomData<fn() -> V>,
@@ -31,61 +29,9 @@ impl<V: Encode + Decode> Table<V> {
     }
 
     /// Reads and decodes.
-    pub fn get<S: Kv + ?Sized>(&self, store: &S, key: &[u8]) -> Result<Option<V>, StoreError> {
-        match store.get(&self.full_key(key)) {
-            None => Ok(None),
-            Some(bytes) => Ok(Some(from_bytes(&bytes)?)),
-        }
-    }
-
-    /// Encodes and writes.
-    pub fn put<S: Kv + ?Sized>(
+    pub fn get<S: ConcurrentKv + ?Sized>(
         &self,
-        store: &mut S,
-        key: &[u8],
-        value: &V,
-    ) -> Result<(), StoreError> {
-        store.put(&self.full_key(key), &to_bytes(value))
-    }
-
-    /// Deletes; returns whether the key existed.
-    pub fn delete<S: Kv + ?Sized>(&self, store: &mut S, key: &[u8]) -> Result<bool, StoreError> {
-        store.delete(&self.full_key(key))
-    }
-
-    /// Membership test.
-    pub fn contains<S: Kv + ?Sized>(&self, store: &S, key: &[u8]) -> bool {
-        store.contains(&self.full_key(key))
-    }
-
-    /// Atomic insert-if-absent (see [`Kv::insert_if_absent`]).
-    pub fn insert_if_absent<S: Kv + ?Sized>(
-        &self,
-        store: &mut S,
-        key: &[u8],
-        value: &V,
-    ) -> Result<bool, StoreError> {
-        store.insert_if_absent(&self.full_key(key), &to_bytes(value))
-    }
-
-    /// All `(suffix, value)` pairs in this table, key-ordered.
-    pub fn scan<S: Kv + ?Sized>(&self, store: &S) -> Result<Vec<(Vec<u8>, V)>, StoreError> {
-        store
-            .scan_prefix(&self.prefix)
-            .into_iter()
-            .map(|(k, v)| Ok((k[self.prefix.len()..].to_vec(), from_bytes(&v)?)))
-            .collect()
-    }
-
-    /// Number of rows in this table (scan-based; fine at simulation scale).
-    pub fn len<S: Kv + ?Sized>(&self, store: &S) -> usize {
-        store.scan_prefix(&self.prefix).len()
-    }
-
-    /// Reads and decodes through a concurrent handle.
-    pub fn get_shared<C: ConcurrentKv + ?Sized>(
-        &self,
-        store: &C,
+        store: &S,
         key: &[u8],
     ) -> Result<Option<V>, StoreError> {
         match store.get(&self.full_key(key)) {
@@ -94,36 +40,31 @@ impl<V: Encode + Decode> Table<V> {
         }
     }
 
-    /// Encodes and writes through a concurrent handle.
-    pub fn put_shared<C: ConcurrentKv + ?Sized>(
+    /// Encodes and writes.
+    pub fn put<S: ConcurrentKv + ?Sized>(
         &self,
-        store: &C,
+        store: &S,
         key: &[u8],
         value: &V,
     ) -> Result<(), StoreError> {
         store.put(&self.full_key(key), &to_bytes(value))
     }
 
-    /// Membership test through a concurrent handle.
-    pub fn contains_shared<C: ConcurrentKv + ?Sized>(&self, store: &C, key: &[u8]) -> bool {
-        store.contains(&self.full_key(key))
-    }
-
-    /// Atomic insert-if-absent through a concurrent handle (the
-    /// double-redemption primitive on the provider's hot path).
-    pub fn insert_if_absent_shared<C: ConcurrentKv + ?Sized>(
+    /// Atomic insert-if-absent (see [`ConcurrentKv::insert_if_absent`]):
+    /// the double-redemption primitive on the provider's hot path.
+    pub fn insert_if_absent<S: ConcurrentKv + ?Sized>(
         &self,
-        store: &C,
+        store: &S,
         key: &[u8],
         value: &V,
     ) -> Result<bool, StoreError> {
         store.insert_if_absent(&self.full_key(key), &to_bytes(value))
     }
 
-    /// All `(suffix, value)` pairs through a concurrent handle.
-    pub fn scan_shared<C: ConcurrentKv + ?Sized>(
+    /// All `(suffix, value)` pairs in this table, key-ordered.
+    pub fn scan<S: ConcurrentKv + ?Sized>(
         &self,
-        store: &C,
+        store: &S,
     ) -> Result<Vec<(Vec<u8>, V)>, StoreError> {
         store
             .scan_prefix(&self.prefix)
@@ -132,8 +73,8 @@ impl<V: Encode + Decode> Table<V> {
             .collect()
     }
 
-    /// Row count through a concurrent handle.
-    pub fn len_shared<C: ConcurrentKv + ?Sized>(&self, store: &C) -> usize {
+    /// Number of rows in this table (scan-based; fine at simulation scale).
+    pub fn len<S: ConcurrentKv + ?Sized>(&self, store: &S) -> usize {
         store.scan_prefix(&self.prefix).len()
     }
 }
@@ -145,39 +86,35 @@ mod tests {
 
     #[test]
     fn typed_roundtrip_and_namespacing() {
-        let mut kv = MemKv::new();
+        let kv = MemKv::new();
         let counts: Table<u64> = Table::new("counts/");
         let names: Table<String> = Table::new("names/");
 
-        counts.put(&mut kv, b"a", &7).unwrap();
-        names.put(&mut kv, b"a", &"alpha".to_string()).unwrap();
+        counts.put(&kv, b"a", &7).unwrap();
+        names.put(&kv, b"a", &"alpha".to_string()).unwrap();
 
         assert_eq!(counts.get(&kv, b"a").unwrap(), Some(7));
         assert_eq!(names.get(&kv, b"a").unwrap(), Some("alpha".to_string()));
         assert_eq!(counts.get(&kv, b"b").unwrap(), None);
         assert_eq!(counts.len(&kv), 1);
         assert_eq!(names.len(&kv), 1);
-
-        assert!(counts.delete(&mut kv, b"a").unwrap());
-        assert!(!counts.contains(&kv, b"a"));
-        assert!(names.contains(&kv, b"a"), "other table untouched");
     }
 
     #[test]
     fn typed_insert_if_absent() {
-        let mut kv = MemKv::new();
+        let kv = MemKv::new();
         let spent: Table<u64> = Table::new("spent/");
-        assert!(spent.insert_if_absent(&mut kv, b"lid", &1).unwrap());
-        assert!(!spent.insert_if_absent(&mut kv, b"lid", &2).unwrap());
+        assert!(spent.insert_if_absent(&kv, b"lid", &1).unwrap());
+        assert!(!spent.insert_if_absent(&kv, b"lid", &2).unwrap());
         assert_eq!(spent.get(&kv, b"lid").unwrap(), Some(1));
     }
 
     #[test]
     fn typed_scan_strips_prefix() {
-        let mut kv = MemKv::new();
+        let kv = MemKv::new();
         let t: Table<u32> = Table::new("t/");
         for (k, v) in [(b"x".as_slice(), 1u32), (b"y", 2), (b"z", 3)] {
-            t.put(&mut kv, k, &v).unwrap();
+            t.put(&kv, k, &v).unwrap();
         }
         let rows = t.scan(&kv).unwrap();
         assert_eq!(
@@ -188,7 +125,7 @@ mod tests {
 
     #[test]
     fn decode_error_surfaces() {
-        let mut kv = MemKv::new();
+        let kv = MemKv::new();
         kv.put(b"t/bad", b"\x01").unwrap(); // not a valid u64 encoding
         let t: Table<u64> = Table::new("t/");
         assert!(matches!(t.get(&kv, b"bad"), Err(StoreError::Decode(_))));

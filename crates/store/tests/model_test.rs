@@ -1,8 +1,9 @@
 //! Model-based testing: arbitrary operation sequences applied to the
-//! durable [`WalKv`] must behave identically to the in-memory [`MemKv`]
-//! model — including across a reopen (restart) at an arbitrary point.
+//! durable, sharded [`WalShardedKv`] must behave identically to the
+//! in-memory [`MemKv`] model — including across a reopen (restart) and a
+//! compaction at arbitrary points.
 
-use p2drm_store::{Kv, MemKv, SyncPolicy, WalKv};
+use p2drm_store::{ConcurrentKv, MemKv, SyncPolicy, WalShardedConfig, WalShardedKv};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -27,32 +28,37 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-struct TempPath(PathBuf);
+struct TempDir(PathBuf);
 
-impl TempPath {
+impl TempDir {
     fn new() -> Self {
         static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let p = std::env::temp_dir().join(format!("p2drm-model-{}-{}", std::process::id(), n));
-        let _ = std::fs::remove_file(&p);
-        TempPath(p)
+        let _ = std::fs::remove_dir_all(&p);
+        TempDir(p)
     }
 }
 
-impl Drop for TempPath {
+impl Drop for TempDir {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
+
+const CONFIG: WalShardedConfig = WalShardedConfig {
+    shards: 3,
+    policy: SyncPolicy::Buffered,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn walkv_equals_memkv_model(ops in proptest::collection::vec(op(), 0..60)) {
-        let tmp = TempPath::new();
-        let mut model = MemKv::new();
-        let (mut wal, _) = WalKv::open(&tmp.0, SyncPolicy::Buffered).unwrap();
+    fn walshardedkv_equals_memkv_model(ops in proptest::collection::vec(op(), 0..60)) {
+        let tmp = TempDir::new();
+        let model = MemKv::new();
+        let (mut wal, _) = WalShardedKv::open(&tmp.0, CONFIG).unwrap();
 
         for o in &ops {
             match o {
@@ -73,12 +79,12 @@ proptest! {
                 Op::Reopen => {
                     wal.flush().unwrap();
                     drop(wal);
-                    let (reopened, report) = WalKv::open(&tmp.0, SyncPolicy::Buffered).unwrap();
+                    let (reopened, report) = WalShardedKv::open(&tmp.0, CONFIG).unwrap();
                     prop_assert!(!report.truncated_tail);
                     wal = reopened;
                 }
                 Op::Compact => {
-                    wal.compact().unwrap();
+                    wal.compact_all().unwrap();
                 }
             }
             prop_assert_eq!(model.len(), wal.len());
@@ -89,7 +95,7 @@ proptest! {
         // And after one final reopen.
         wal.flush().unwrap();
         drop(wal);
-        let (wal, _) = WalKv::open(&tmp.0, SyncPolicy::Buffered).unwrap();
+        let (wal, _) = WalShardedKv::open(&tmp.0, CONFIG).unwrap();
         prop_assert_eq!(model.scan_prefix(b""), wal.scan_prefix(b""));
     }
 }

@@ -30,7 +30,7 @@
 //! | [`crypto`] | `p2drm-crypto` | SHA-256, ChaCha20, HMAC, RSA, blind signatures, ElGamal |
 //! | [`pki`] | `p2drm-pki` | certificates, authorities, CRLs |
 //! | [`rel`] | `p2drm-rel` | rights expression language + enforcement |
-//! | [`store`] | `p2drm-store` | WAL-backed KV, crash recovery, lock-sharded `ShardedKv` concurrency |
+//! | [`store`] | `p2drm-store` | the `ConcurrentKv` trait: lock-sharded `ShardedKv`, WAL-backed `WalShardedKv` with crash recovery |
 //! | [`payment`] | `p2drm-payment` | Chaum e-cash with replay-aware deposits + identified baseline |
 //! | [`core`] | `p2drm-core` | **the paper's protocols**, concurrent provider + system bootstrap |
 //! | [`core::service`] | `p2drm-core` | **the wire API**: versioned envelopes, `ApiErrorCode`, `ProviderService`, `WireClient` |

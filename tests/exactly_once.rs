@@ -12,7 +12,7 @@ use p2drm::faults::{kv_sites, FaultKv, FaultPlan, Schedule};
 use p2drm::store::{MemKv, ShardedKv};
 use std::sync::Arc;
 
-type Backend = FaultKv<ShardedKv<MemKv>>;
+type Backend = FaultKv<ShardedKv>;
 
 const FUNDS: u64 = 500;
 

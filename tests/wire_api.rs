@@ -3,7 +3,6 @@
 //! paths — a wire-purchased license plays in-proc, a wire transfer obeys
 //! the unique-ID rule, and error codes are stable numbers.
 
-use p2drm::core::entities::provider::MemBackend;
 use p2drm::core::protocol::messages::{attribute_auth_bytes, AttributeIssueRequest, LicenseStatus};
 use p2drm::core::service::{
     ApiErrorCode, Loopback, OpCode, ResponseEnvelope, Transport, TransportError, WireClient,
@@ -12,6 +11,7 @@ use p2drm::core::service::{
 use p2drm::core::system::{System, SystemConfig};
 use p2drm::core::License;
 use p2drm::crypto::rng::test_rng;
+use p2drm::store::ShardedKv;
 use std::sync::{Arc, Mutex};
 
 /// A transport that delivers every request but "loses" the replies of
@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 /// simulator: the server committed, the client never learned. The lost
 /// replies are kept so a test can compare them with a resend's answer.
 struct LoseRepliesOf<'s> {
-    inner: Loopback<'s, MemBackend>,
+    inner: Loopback<'s, ShardedKv>,
     lost_op: OpCode,
     lost: LostReplies,
 }
@@ -65,7 +65,7 @@ impl Transport for LoseRepliesOf<'_> {
 /// ambiguous outcome: the server saw nothing, but the client only
 /// observes a broken connection and can't tell which side failed.
 struct BlackholeOp<'s> {
-    inner: Loopback<'s, MemBackend>,
+    inner: Loopback<'s, ShardedKv>,
     op: OpCode,
 }
 
@@ -453,13 +453,13 @@ fn unknown_content_maps_to_stable_code() {
 /// one the pick list selects — the pipelined client must still settle
 /// every slot with *its* reply, purely by correlation id.
 struct Shuffling<'s> {
-    inner: Loopback<'s, MemBackend>,
+    inner: Loopback<'s, ShardedKv>,
     picks: std::cell::RefCell<Vec<usize>>,
     buffer: std::cell::RefCell<Vec<(u64, Vec<u8>)>>,
 }
 
 impl<'s> Shuffling<'s> {
-    fn new(inner: Loopback<'s, MemBackend>, picks: Vec<usize>) -> Self {
+    fn new(inner: Loopback<'s, ShardedKv>, picks: Vec<usize>) -> Self {
         Shuffling {
             inner,
             picks: std::cell::RefCell::new(picks),
